@@ -46,10 +46,10 @@ from .qlearn import (
     REWARD_KINDS,
     AgentConfig,
     QModel,
-    _day_states,
     epsilon_at,
     predict_series,
     run_episode,
+    training_days,
 )
 from .sentiment import DailySignal, Lexicon, daily_signal
 
@@ -223,8 +223,7 @@ def _run_approach(
         train_series, train_signals, test_series, test_signals = chronological_split(
             ingested, signals, cfg.train_frac
         )
-        states = _day_states(train_series, train_signals, agent)
-        day_prices = train_series.prices
+        days = training_days(train_series, train_signals, agent)
         rng = np.random.default_rng(agent.seed)
         if mode == "to_target":
             converged = False
@@ -238,9 +237,7 @@ def _run_approach(
                     break
                 if clock() >= deadline:
                     break
-            run_episode(
-                model, day_prices, states, cfg.reward, epsilon_at(agent, episodes_run), rng
-            )
+            run_episode(model, days, cfg.reward, epsilon_at(agent, episodes_run), rng)
             episodes_run += 1
         predictions = predict_series(model, test_series, test_signals)
         test_prices = test_series.prices[1:]

@@ -152,11 +152,15 @@ def reward_sdr(ap: float, pp: float) -> float:
     return -abs(ap - pp)
 
 
+def _rdr(ap: float, pp: float) -> float:
+    return -abs(ap - pp) / ap * 100.0
+
+
 def reward_rdr(ap: float, pp: float) -> float:
     """Negative absolute error as a percent of the actual price."""
     if not ap > 0:
         raise QLearnError(f"actual price must be positive, got {ap}")
-    return -abs(ap - pp) / ap * 100.0
+    return _rdr(ap, pp)
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,14 @@ class ZeroRewardGeometry:
     tol: float
 
 
+def _geometry(
+    ap: float, ap_prev: float, pp_prev: float, tol: float
+) -> tuple[float, float, float, float, bool]:
+    alpha = (ap - ap_prev) / ap_prev
+    l = abs(ap - pp_prev * (1.0 + alpha))
+    return alpha, l, ap - l, ap + l, l < tol
+
+
 def zero_reward_points(
     ap: float, ap_prev: float, pp_prev: float, tol: float | None = None
 ) -> ZeroRewardGeometry:
@@ -185,14 +197,19 @@ def zero_reward_points(
         raise QLearnError(f"previous actual price must be positive, got {ap_prev}")
     if not ap > 0:
         raise QLearnError(f"actual price must be positive, got {ap}")
-    alpha = (ap - ap_prev) / ap_prev
-    carried = pp_prev * (1.0 + alpha)
-    l = abs(ap - carried)
     if tol is None:
         tol = 1e-9 * ap
-    return ZeroRewardGeometry(
-        alpha=alpha, l=l, zr1=ap - l, zr2=ap + l, degenerate=l < tol, tol=tol
-    )
+    return ZeroRewardGeometry(*_geometry(ap, ap_prev, pp_prev, tol), tol=tol)
+
+
+def _cdr(ap: float, pp: float, zr1: float, zr2: float, degenerate: bool, tol: float) -> float:
+    if degenerate:
+        if abs(pp - ap) <= tol:
+            return 100.0
+        return reward_rdr(ap, pp)
+    if pp <= ap:
+        return (pp - zr1) / (ap - zr1) * 100.0
+    return (pp - zr2) / (ap - zr2) * 100.0
 
 
 def reward_cdr(geometry: ZeroRewardGeometry, ap: float, pp: float) -> float:
@@ -201,13 +218,7 @@ def reward_cdr(geometry: ZeroRewardGeometry, ap: float, pp: float) -> float:
     Degenerate geometry scores 100 for an (effectively) exact prediction and
     falls back to the relative shape otherwise.
     """
-    if geometry.degenerate:
-        if abs(pp - ap) <= geometry.tol:
-            return 100.0
-        return reward_rdr(ap, pp)
-    if pp <= ap:
-        return (pp - geometry.zr1) / (ap - geometry.zr1) * 100.0
-    return (pp - geometry.zr2) / (ap - geometry.zr2) * 100.0
+    return _cdr(ap, pp, geometry.zr1, geometry.zr2, geometry.degenerate, geometry.tol)
 
 
 @dataclass
@@ -251,10 +262,14 @@ def q_update(model: QModel, s: State, a: int, r: float, s_next: State) -> float:
     return float(updated)
 
 
-def select_action(model: QModel, s: State, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy percent selection."""
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon <= 1.0:
         raise QLearnError(f"epsilon must be in [0, 1], got {epsilon}")
+
+
+def select_action(model: QModel, s: State, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy percent selection."""
+    _check_epsilon(epsilon)
     cfg = model.config
     if epsilon > 0.0 and rng.random() < epsilon:
         return cfg.action_min + int(rng.integers(cfg.n_actions))
@@ -293,43 +308,107 @@ def _check_alignment(prices: PriceSeries, signals: Sequence[DailySignal], min_le
         raise AlignmentError(f"need at least {min_len} aligned days, got {len(prices)}")
 
 
-def _day_states(prices: PriceSeries, signals: Sequence[DailySignal], cfg: AgentConfig) -> list[State]:
-    return [
-        discretize_state(point.price, signal, cfg)
+class TrainingDays(NamedTuple):
+    """The per-run inputs of :func:`run_episode`, built by :func:`training_days`.
+
+    ``prices[t]`` is day ``t``'s price and ``states[rows[t]]`` the state day
+    ``t`` leads to; ``states`` lists each distinct state once. ``moves[t]``
+    memoises :func:`predicted_price` from day ``t`` by action index. It fills
+    as episodes run, so one ``TrainingDays`` serves one training run.
+    """
+
+    prices: tuple[float, ...]
+    states: tuple[State, ...]
+    rows: tuple[int, ...]
+    moves: tuple[dict[int, float], ...]
+
+
+def training_days(
+    prices: PriceSeries, signals: Sequence[DailySignal], cfg: AgentConfig
+) -> TrainingDays:
+    """Discretize each day once on ``cfg``'s grid, for one training run or prediction pass.
+
+    Every price is checked here, once per run: :class:`~sentiq.corpus.PricePoint`
+    holds it positive and :func:`discretize_state` inside the grid's range.
+    """
+    index: dict[State, int] = {}
+    rows = tuple(
+        index.setdefault(discretize_state(point.price, signal, cfg), len(index))
         for point, signal in zip(prices, signals)
-    ]
+    )
+    return TrainingDays(prices.prices, tuple(index), rows, tuple({} for _ in rows))
 
 
 def run_episode(
     model: QModel,
-    prices: Sequence[float],
-    states: Sequence[State],
+    days: TrainingDays,
     kind: str,
     epsilon: float,
     rng: np.random.Generator,
 ) -> float:
     """One chronological pass over the training days; returns the mean reward.
 
-    Internal engine shared by :func:`train` and the benchmark harness;
-    ``states[t]`` must be the state derived from day ``t``.
+    Internal engine shared by :func:`train` and the benchmark harness.
+    ``days`` comes from :func:`training_days` on ``model.config`` and is
+    passed to every episode of one run. Each step draws, rewards and updates
+    exactly as :func:`select_action`, :func:`predicted_price`, the reward
+    functions and :func:`q_update` would. The greedy choice reads each
+    visited state's row max and first argmax from ``model.table`` when the
+    episode starts and keeps them current as Q-values are written, so edits
+    to the table between episodes are honoured.
     """
+    _check_epsilon(epsilon)
+    cfg = model.config
+    table = model.table
+    action_min, n_actions = cfg.action_min, cfg.n_actions
+    theta, gamma = cfg.theta, cfg.gamma
+    q_rows = [table[s.price_bin, s.sentiment_bin] for s in days.states]
+    best = [int(row.argmax()) for row in q_rows]
+    top = [row.item(i) for row, i in zip(q_rows, best)]
+
+    prices, rows, moves = days.prices, days.rows, days.moves
+    explore = epsilon > 0.0
     total = 0.0
     pp_prev = prices[0]
+    s = rows[0]
     n = len(prices)
     for t in range(1, n):
-        s = states[t - 1]
-        a = select_action(model, s, epsilon, rng)
-        pp = predicted_price(prices[t - 1], a)
-        if kind == SDR:
-            r = reward_sdr(prices[t], pp)
-        elif kind == RDR:
-            r = reward_rdr(prices[t], pp)
+        if explore and rng.random() < epsilon:
+            i = int(rng.integers(n_actions))
         else:
-            geometry = zero_reward_points(prices[t], prices[t - 1], pp_prev)
-            r = reward_cdr(geometry, prices[t], pp)
+            i = best[s]
+        ap_prev, ap = prices[t - 1], prices[t]
+        memo = moves[t - 1]
+        pp = memo.get(i)
+        if pp is None:
+            pp = memo[i] = predicted_price(ap_prev, action_min + i)
+        if kind == SDR:
+            r = reward_sdr(ap, pp)
+        elif kind == RDR:
+            r = _rdr(ap, pp)
+        else:
+            tol = 1e-9 * ap
+            _, _, zr1, zr2, degenerate = _geometry(ap, ap_prev, pp_prev, tol)
+            r = _cdr(ap, pp, zr1, zr2, degenerate, tol)
             pp_prev = pp
-        q_update(model, s, a, r, states[t])
+        if not math.isfinite(r):
+            raise QLearnError(f"reward must be finite, got {r}")
+        s_next = rows[t]
+        row = q_rows[s]
+        q = row.item(i)
+        updated = q + theta * (r + gamma * top[s_next] - q)
+        row[i] = updated
+        # Keep (top, best) equal to (row.max(), row.argmax()); Q-values are finite.
+        if updated > top[s]:
+            top[s], best[s] = updated, i
+        elif updated == top[s]:
+            if i < best[s]:
+                best[s] = i
+        elif i == best[s]:
+            best[s] = j = int(row.argmax())
+            top[s] = row.item(j)
         total += r
+        s = s_next
     return total / (n - 1)
 
 
@@ -350,13 +429,12 @@ def train(
     _check_alignment(prices, signals, min_len=3)
     rng = np.random.default_rng(cfg.seed)
     model = QModel.zeros(cfg, reward=kind, attribute=attribute)
-    states = _day_states(prices, signals, cfg)
-    day_prices = prices.prices
+    days = training_days(prices, signals, cfg)
     mean_rewards = []
     epsilons = []
     for episode in range(cfg.episodes):
         epsilon = epsilon_at(cfg, episode)
-        mean_rewards.append(run_episode(model, day_prices, states, kind, epsilon, rng))
+        mean_rewards.append(run_episode(model, days, kind, epsilon, rng))
         epsilons.append(epsilon)
     return model, TrainLog(tuple(mean_rewards), tuple(epsilons))
 
@@ -366,12 +444,10 @@ def predict_series(
 ) -> tuple[float, ...]:
     """Greedy next-day predictions for days 1..n-1 of an aligned series."""
     _check_alignment(prices, signals, min_len=2)
-    cfg = model.config
-    states = _day_states(prices, signals, cfg)
-    day_prices = prices.prices
+    days = training_days(prices, signals, model.config)
     return tuple(
-        predicted_price(day_prices[t - 1], model.greedy_action(states[t - 1]))
-        for t in range(1, len(day_prices))
+        predicted_price(price, model.greedy_action(days.states[row]))
+        for price, row in zip(days.prices[:-1], days.rows)
     )
 
 
@@ -390,7 +466,7 @@ def save_model(model: QModel, path: str | Path) -> None:
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)
         handle.write(struct.pack("<III", *table.shape))
-        handle.write(table.tobytes(order="C"))
+        handle.write(memoryview(table))
 
 
 def load_model(path: str | Path) -> QModel:
@@ -421,5 +497,5 @@ def load_model(path: str | Path) -> QModel:
     n_bytes = shape[0] * shape[1] * shape[2] * 8
     if len(data) != offset + n_bytes:
         raise ModelFormatError(f"{path}: truncated model file")
-    table = np.frombuffer(data[offset:], dtype="<f8").reshape(shape).copy()
+    table = np.frombuffer(data, dtype="<f8", offset=offset).reshape(shape).copy()
     return QModel(cfg, table, meta.get("reward"), meta.get("attribute"))

@@ -17,6 +17,7 @@ from sentiq.qlearn import (
     QLearnError,
     QModel,
     State,
+    TrainLog,
     discretize_state,
     epsilon_at,
     load_model,
@@ -30,6 +31,7 @@ from sentiq.qlearn import (
     save_model,
     select_action,
     train,
+    training_days,
     zero_reward_points,
 )
 
@@ -418,11 +420,11 @@ def pinned_model(cfg, action, value=1e6):
 def test_run_episode_mean_reward_sdr_rdr():
     cfg = one_state_config(action_min=-5, action_max=5)
     prices = (100.0, 110.0, 99.0)
-    states = [State(0, 0)] * 3
+    days = training_days(*aligned_inputs(prices), cfg)
     for kind, fn in ((SDR, reward_sdr), (RDR, reward_rdr)):
         model = pinned_model(cfg, action=0)
         rng = np.random.default_rng(0)
-        got = run_episode(model, prices, states, kind, 0.0, rng)
+        got = run_episode(model, days, kind, 0.0, rng)
         expected = (fn(110.0, 100.0) + fn(99.0, 110.0)) / 2
         assert got == expected
 
@@ -430,10 +432,10 @@ def test_run_episode_mean_reward_sdr_rdr():
 def test_run_episode_cdr_carries_previous_prediction():
     cfg = one_state_config(action_min=-5, action_max=5)
     prices = (100.0, 110.0, 99.0)
-    states = [State(0, 0)] * 3
+    days = training_days(*aligned_inputs(prices), cfg)
     model = pinned_model(cfg, action=5)
     rng = np.random.default_rng(0)
-    got = run_episode(model, prices, states, CDR, 0.0, rng)
+    got = run_episode(model, days, CDR, 0.0, rng)
 
     pp_prev = prices[0]  # bootstrap: day 0's prediction is its actual price
     total = 0.0
@@ -450,9 +452,114 @@ def test_run_episode_updates_visited_entries_only():
     model = pinned_model(cfg, action=2, value=500.0)
     before = model.table.copy()
     rng = np.random.default_rng(0)
-    run_episode(model, (100.0, 101.0, 103.0), [State(0, 0)] * 3, SDR, 0.0, rng)
+    days = training_days(*aligned_inputs((100.0, 101.0, 103.0)), cfg)
+    run_episode(model, days, SDR, 0.0, rng)
     changed = np.argwhere(model.table != before)
     assert {tuple(ix) for ix in changed} == {(0, 0, 2)}
+
+
+def test_run_episode_follows_a_table_changed_between_episodes():
+    cfg = one_state_config(action_min=-5, action_max=5)
+    prices = (100.0, 110.0, 99.0)
+    days = training_days(*aligned_inputs(prices), cfg)
+    model = pinned_model(cfg, action=2)
+    rng = np.random.default_rng(0)
+    run_episode(model, days, SDR, 0.0, rng)
+    model.table[:] = 0.0
+    model.table[0, 0, -4 - cfg.action_min] = 1e6
+    got = run_episode(model, days, SDR, 0.0, rng)
+    pinned = [reward_sdr(prices[t], predicted_price(prices[t - 1], -4)) for t in (1, 2)]
+    expected = sum(pinned) / 2
+    assert got == expected
+    assert np.count_nonzero(model.table) == 1
+
+
+def reference_episode(model, prices, states, kind, epsilon, rng):
+    """One episode stepped through the public pieces, as ``run_episode`` must behave."""
+    total = 0.0
+    pp_prev = prices[0]
+    for t in range(1, len(prices)):
+        a = select_action(model, states[t - 1], epsilon, rng)
+        pp = predicted_price(prices[t - 1], a)
+        if kind == SDR:
+            r = reward_sdr(prices[t], pp)
+        elif kind == RDR:
+            r = reward_rdr(prices[t], pp)
+        else:
+            r = reward_cdr(zero_reward_points(prices[t], prices[t - 1], pp_prev), prices[t], pp)
+            pp_prev = pp
+        q_update(model, states[t - 1], a, r, states[t])
+        total += r
+    return total / (len(prices) - 1)
+
+
+def reference_train(series, signals, kind, cfg):
+    model = QModel.zeros(cfg, reward=kind)
+    rng = np.random.default_rng(cfg.seed)
+    states = [discretize_state(p.price, s, cfg) for p, s in zip(series, signals)]
+    epsilons = tuple(epsilon_at(cfg, e) for e in range(cfg.episodes))
+    means = tuple(
+        reference_episode(model, series.prices, states, kind, epsilon, rng) for epsilon in epsilons
+    )
+    return model, TrainLog(means, epsilons)
+
+
+def random_walk(n, seed, start=800.0, vol=0.04):
+    rng = np.random.default_rng(seed)
+    prices = [start]
+    for _ in range(n - 1):
+        prices.append(round(prices[-1] * (1.0 + rng.normal(0.0, vol)), 2))
+    return aligned_inputs(prices, rng.uniform(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize("kind", [SDR, RDR, CDR])
+@pytest.mark.parametrize("action_min,action_max", [(-3, 3), (-100, 1000)])
+def test_train_matches_step_by_step_reference(kind, action_min, action_max):
+    series, signals = random_walk(30, seed=4)
+    cfg = AgentConfig(
+        action_min=action_min,
+        action_max=action_max,
+        episodes=40,
+        price_bucket_width=250.0,
+        price_max=2000.0,
+        sentiment_bins=5,
+        seed=9,
+    )
+    model, log = train(series, signals, kind, cfg)
+    want_model, want_log = reference_train(series, signals, kind, cfg)
+    assert model.table.tobytes() == want_model.table.tobytes()
+    assert log == want_log
+
+
+@pytest.mark.parametrize("kind", [SDR, RDR, CDR])
+@pytest.mark.parametrize("theta,gamma", [(1.0, 0.0), (0.5, 0.5)])
+def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
+    # Whole-dollar prices, whole-percent moves and integer Q-values make
+    # updates land exactly on, above and below the planted row maxima.
+    series, signals = aligned_inputs(
+        [100.0, 101.0, 99.0, 100.0, 102.0, 100.0, 100.0, 98.0, 100.0, 103.0] * 3,
+        [0.5, -0.5, 0.0] * 10,
+    )
+    cfg = AgentConfig(
+        action_min=-4,
+        action_max=4,
+        episodes=30,
+        price_bucket_width=500.0,
+        price_max=1000.0,
+        sentiment_bins=3,
+        theta=theta,
+        gamma=gamma,
+    )
+    planted = np.random.default_rng(3).integers(-3, 1, size=(2, 3, 9)).astype(float)
+    model, want = QModel(cfg, planted.copy()), QModel(cfg, planted.copy())
+    days = training_days(series, signals, cfg)
+    states = [discretize_state(p.price, s, cfg) for p, s in zip(series, signals)]
+    rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for episode in range(cfg.episodes):
+        epsilon = epsilon_at(cfg, episode)
+        got = run_episode(model, days, kind, epsilon, rng)
+        assert got == reference_episode(want, series.prices, states, kind, epsilon, want_rng)
+    assert model.table.tobytes() == want.table.tobytes()
 
 
 # ---------------------------------------------------------------------------
