@@ -128,17 +128,28 @@ def _lexicon(opts: _Options) -> Lexicon:
     return load_lexicon(path) if path else builtin_lexicon()
 
 
-def _load_pipeline_inputs(opts: _Options):
-    series = corpus.load_prices(opts.get("prices"))
+def _load_cleaned(opts: _Options):
+    """Load, bucket, clean and dedup the tweets; returns (price series or None, buckets).
+
+    With ``prices`` set, tweets outside the series window are dropped and the
+    buckets are the series days; without it, each tweet's own UTC day.
+    """
+    prices = opts.get("prices")
+    series = corpus.load_prices(prices) if prices else None
     loaded = corpus.load_tweets(
-        opts.get("tweets"), format=opts.get("format", "csv"), window=series.window()
+        opts.get("tweets"),
+        format=opts.get("format", "csv"),
+        window=None if series is None else series.window(),
     )
-    buckets = corpus.bucket_by_day(loaded.records, series)
+    if series is not None:
+        buckets = corpus.bucket_by_day(loaded.records, series)
+    else:
+        buckets = corpus.bucket_all_days(loaded.records)
     return series, preprocess.clean_and_dedup(buckets)
 
 
 def _signal_pipeline(opts: _Options, attribute: Attribute | None):
-    series, buckets = _load_pipeline_inputs(opts)
+    series, buckets = _load_cleaned(opts)
     dataset = build_dataset(buckets, attribute)
     return series, dataset, daily_signals(dataset.buckets, _lexicon(opts))
 
@@ -179,16 +190,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    format = opts.get("format", "csv")
-    if opts.get("prices"):
-        series = corpus.load_prices(opts.get("prices"))
-        loaded = corpus.load_tweets(opts.get("tweets"), format=format, window=series.window())
-        buckets = corpus.bucket_by_day(loaded.records, series)
-    else:
-        loaded = corpus.load_tweets(opts.get("tweets"), format=format)
-        buckets = corpus.bucket_all_days(loaded.records)
-    cleaned = preprocess.clean_and_dedup(buckets)
-    n = _write_cleaned(cleaned, args.out, format)
+    _, cleaned = _load_cleaned(opts)
+    n = _write_cleaned(cleaned, args.out, opts.get("format", "csv"))
     print(f"wrote {n} cleaned tweets to {args.out}")
     return 0
 
@@ -196,16 +199,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     opts = _Options(args)
     attribute = _attribute(opts)
-    format = opts.get("format", "csv")
-    if opts.get("prices"):
-        series = corpus.load_prices(opts.get("prices"))
-        loaded = corpus.load_tweets(opts.get("tweets"), format=format, window=series.window())
-        buckets = corpus.bucket_by_day(loaded.records, series)
-    else:
-        loaded = corpus.load_tweets(opts.get("tweets"), format=format)
-        buckets = corpus.bucket_all_days(loaded.records)
-    dataset = build_dataset(preprocess.clean_and_dedup(buckets), attribute)
-    n = _write_cleaned(dataset.buckets, args.out, format)
+    _, cleaned = _load_cleaned(opts)
+    dataset = build_dataset(cleaned, attribute)
+    n = _write_cleaned(dataset.buckets, args.out, opts.get("format", "csv"))
     meta = {
         "attribute": attribute.value if attribute else "none",
         "source": str(opts.get("tweets")),

@@ -3,8 +3,8 @@
 File formats:
 
 * tweets (CSV): header ``id,timestamp,text,followers,comments,likes,retweets``;
-  ``timestamp`` is integer epoch seconds (UTC), the four trailing columns are
-  non-negative integer engagement counts.
+  ``timestamp`` is integer epoch seconds (UTC) within the years 1 to 9999,
+  the four trailing columns are non-negative integer engagement counts.
 * tweets (JSONL): one object per line with the same seven keys.
 * prices (CSV): header ``date,price``; ISO dates, one row per calendar day with
   no gaps, strictly increasing; prices are positive and rounded to two fraction
@@ -21,8 +21,9 @@ import json
 import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusError
 
@@ -30,7 +31,10 @@ logger = logging.getLogger(__name__)
 
 TWEET_FIELDS = ("id", "timestamp", "text", "followers", "comments", "likes", "retweets")
 _COUNT_FIELDS = ("followers", "comments", "likes", "retweets")
-_UTC = dt.timezone.utc
+_DAY_S = 86_400
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_tweet_fields = itemgetter(*TWEET_FIELDS)
+_by_time_then_id = attrgetter("timestamp", "id")
 
 
 def round_price(value: float | int | str | Decimal) -> float:
@@ -42,9 +46,24 @@ def round_price(value: float | int | str | Decimal) -> float:
     return float(quantized)
 
 
+def _day_start(day: dt.date) -> int:
+    """Epoch second at which a UTC calendar day begins.
+
+    Day ``d`` holds the timestamps ``ts`` with
+    ``_day_start(d) <= ts < _day_start(d) + _DAY_S``; every day lookup in this
+    module is this integer arithmetic.
+    """
+    return (day.toordinal() - _EPOCH_ORDINAL) * _DAY_S
+
+
+# Timestamps whose UTC day is a ``datetime.date`` (years 1 to 9999).
+_MIN_TIMESTAMP = _day_start(dt.date.min)
+_MAX_TIMESTAMP = _day_start(dt.date.max) + _DAY_S - 1
+
+
 def day_of(timestamp: int) -> dt.date:
     """UTC calendar day containing an epoch-second timestamp."""
-    return dt.datetime.fromtimestamp(timestamp, tz=_UTC).date()
+    return dt.date.fromordinal(_EPOCH_ORDINAL + timestamp // _DAY_S)
 
 
 @dataclass(frozen=True)
@@ -152,33 +171,58 @@ class TweetLoadResult:
     total_rows: int
 
 
-def _build_record(raw: dict, where: str) -> TweetRecord:
-    tweet_id = raw["id"]
+def _int_field(name: str, value) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CorpusError(f"field '{name}': not an integer: {value!r}")
+
+
+def _build_record(fields: Sequence) -> TweetRecord:
+    """One tweet from its fields in ``TWEET_FIELDS`` order, each converted and checked once.
+
+    Raises :class:`CorpusError` without a location; the caller prefixes it.
+    """
+    tweet_id, timestamp, text, followers, comments, likes, retweets = fields
     if isinstance(tweet_id, int) and not isinstance(tweet_id, bool):
         tweet_id = str(tweet_id)
     if not isinstance(tweet_id, str) or not tweet_id:
-        raise CorpusError(f"{where}: field 'id': must be a non-empty string")
-    values: dict[str, int] = {}
-    for name in ("timestamp",) + _COUNT_FIELDS:
-        value = raw[name]
-        if isinstance(value, str):
-            try:
-                value = int(value, 10)
-            except ValueError:
-                raise CorpusError(f"{where}: field '{name}': not an integer: {raw[name]!r}")
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CorpusError(f"{where}: field '{name}': not an integer: {raw[name]!r}")
-        values[name] = value
-    text = raw["text"]
-    if not isinstance(text, str) or not text.strip():
-        raise CorpusError(f"{where}: field 'text': must be non-empty text")
-    try:
-        return TweetRecord(id=tweet_id, text=text, **values)
-    except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from None
+        raise CorpusError("field 'id': must be a non-empty string")
+    timestamp = _int_field("timestamp", timestamp)
+    followers = _int_field("followers", followers)
+    comments = _int_field("comments", comments)
+    likes = _int_field("likes", likes)
+    retweets = _int_field("retweets", retweets)
+    if not isinstance(text, str) or not text or text.isspace():
+        raise CorpusError("field 'text': must be non-empty text")
+    if followers < 0 or comments < 0 or likes < 0 or retweets < 0:
+        counts = (followers, comments, likes, retweets)
+        name = next(name for name, value in zip(_COUNT_FIELDS, counts) if value < 0)
+        raise CorpusError(f"tweet {tweet_id}: {name} must be a non-negative integer")
+    if not _MIN_TIMESTAMP <= timestamp <= _MAX_TIMESTAMP:
+        raise CorpusError(
+            f"field 'timestamp': {timestamp} is outside the UTC days of years 1 to 9999"
+        )
+    # Every check of TweetRecord.__post_init__ has passed above, so set the
+    # fields one by one as the dataclass __init__ does (which keeps the
+    # instance's compact attribute storage) and skip the second round.
+    record = object.__new__(TweetRecord)
+    set_field = object.__setattr__
+    set_field(record, "id", tweet_id)
+    set_field(record, "timestamp", timestamp)
+    set_field(record, "text", text)
+    set_field(record, "followers", followers)
+    set_field(record, "comments", comments)
+    set_field(record, "likes", likes)
+    set_field(record, "retweets", retweets)
+    return record
 
 
-def _iter_csv_rows(path: Path) -> Iterator[tuple[int, dict]]:
+def _iter_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -196,10 +240,10 @@ def _iter_csv_rows(path: Path) -> Iterator[tuple[int, dict]]:
                 raise CorpusError(
                     f"{path}:{reader.line_num}: expected {len(TWEET_FIELDS)} fields, got {len(row)}"
                 )
-            yield reader.line_num, dict(zip(TWEET_FIELDS, row))
+            yield reader.line_num, row
 
 
-def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
+def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, tuple]]:
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -210,10 +254,12 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}:{lineno}: expected an object per line")
-            missing = [k for k in TWEET_FIELDS if k not in obj]
-            if missing:
-                raise CorpusError(f"{path}:{lineno}: missing field '{missing[0]}'")
-            yield lineno, obj
+            try:
+                fields = _tweet_fields(obj)
+            except KeyError:
+                missing = next(k for k in TWEET_FIELDS if k not in obj)
+                raise CorpusError(f"{path}:{lineno}: missing field '{missing}'") from None
+            yield lineno, fields
 
 
 def load_tweets(
@@ -236,17 +282,24 @@ def load_tweets(
     else:
         raise CorpusError(f"unknown tweet format {format!r}, expected 'csv' or 'jsonl'")
 
+    if window is None:
+        lo, hi = _MIN_TIMESTAMP, _MAX_TIMESTAMP + 1
+    else:
+        lo, hi = _day_start(window[0]), _day_start(window[1]) + _DAY_S
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     dropped = 0
     total = 0
-    for lineno, raw in rows:
+    for lineno, fields in rows:
         total += 1
-        record = _build_record(raw, f"{path}:{lineno}")
+        try:
+            record = _build_record(fields)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
         if record.id in seen_ids:
             raise CorpusError(f"{path}:{lineno}: duplicate tweet id {record.id!r}")
         seen_ids.add(record.id)
-        if window is not None and not (window[0] <= record.day() <= window[1]):
+        if not lo <= record.timestamp < hi:
             dropped += 1
             continue
         records.append(record)
@@ -334,7 +387,7 @@ def bucket_all_days(records: Iterable[TweetRecord]) -> tuple[DayBucket, ...]:
     for record in records:
         by_day.setdefault(record.day(), []).append(record)
     return tuple(
-        DayBucket(date, tuple(sorted(by_day[date], key=lambda r: (r.timestamp, r.id))))
+        DayBucket(date, tuple(sorted(by_day[date], key=_by_time_then_id)))
         for date in sorted(by_day)
     )
 
@@ -342,15 +395,21 @@ def bucket_all_days(records: Iterable[TweetRecord]) -> tuple[DayBucket, ...]:
 def bucket_by_day(records: Iterable[TweetRecord], series: PriceSeries) -> tuple[DayBucket, ...]:
     """Group tweets into one bucket per series day, ordered by (timestamp, id).
 
-    Tweets dated outside the series span do not belong to any bucket and are
-    ignored; the canonical flow drops them earlier via ``load_tweets(window=...)``.
+    A tweet's bucket is ``(timestamp - start) // 86_400``, counted from the
+    first second of the series' first day; the series has no gaps, so that
+    index is its day's position. Tweets dated outside the series span do not
+    belong to any bucket and are ignored; the canonical flow drops them
+    earlier via ``load_tweets(window=...)``.
     """
-    by_day: dict[dt.date, list[TweetRecord]] = {date: [] for date in series.dates}
+    dates = series.dates
+    start = _day_start(dates[0])
+    by_day: list[list[TweetRecord]] = [[] for _ in dates]
+    n_days = len(dates)
     for record in records:
-        day = record.day()
-        if day in by_day:
-            by_day[day].append(record)
+        index = (record.timestamp - start) // _DAY_S
+        if 0 <= index < n_days:
+            by_day[index].append(record)
     return tuple(
-        DayBucket(date, tuple(sorted(by_day[date], key=lambda r: (r.timestamp, r.id))))
-        for date in series.dates
+        DayBucket(date, tuple(sorted(day, key=_by_time_then_id)))
+        for date, day in zip(dates, by_day)
     )

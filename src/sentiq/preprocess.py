@@ -32,7 +32,6 @@ _WWW_RE = re.compile(r"(?<!\S)www\.\S*")
 _MENTION_RE = re.compile(r"@\w*")
 _DOT_RUN_RE = re.compile(r"\.{2,}")
 _CHAR_RUN_RE = re.compile(r"(.)\1{3,}", re.DOTALL)
-_WS_RE = re.compile(r"\s+")
 
 
 def _strip_leading_rt(text: str) -> str:
@@ -47,16 +46,25 @@ def _strip_leading_rt(text: str) -> str:
 
 
 def _clean_pass(text: str) -> str:
-    t = text.lower()
-    t = _strip_leading_rt(t)
-    t = _URL_RE.sub("", t)
-    t = _WWW_RE.sub("", t)
-    t = _MENTION_RE.sub("", t)
+    """One pass of steps 1-8.
+
+    A substitution runs only when the text holds the literal its pattern
+    needs in order to match (``://``, ``www.``, ``@``, ``..``), so skipping
+    it changes nothing. Steps 7 and 8 are ``" ".join(t.split())``:
+    ``str.split`` splits on the characters ``re`` matches with ``\\s``.
+    """
+    t = _strip_leading_rt(text.lower())
+    if "://" in t:
+        t = _URL_RE.sub("", t)
+    if "www." in t:
+        t = _WWW_RE.sub("", t)
+    if "@" in t:
+        t = _MENTION_RE.sub("", t)
     t = t.replace("#", "")
-    t = _DOT_RUN_RE.sub(" ", t)
+    if ".." in t:
+        t = _DOT_RUN_RE.sub(" ", t)
     t = _CHAR_RUN_RE.sub(lambda m: m.group(1) * 3, t)
-    t = _WS_RE.sub(" ", t)
-    return t.strip()
+    return " ".join(t.split())
 
 
 def clean(text: str) -> str:

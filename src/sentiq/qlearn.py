@@ -470,32 +470,31 @@ def save_model(model: QModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> QModel:
-    """Inverse of :func:`save_model`; rejects foreign or truncated files."""
-    data = Path(path).read_bytes()
-    if len(data) < len(_MAGIC) + 8 or not data.startswith(_MAGIC):
-        raise ModelFormatError(f"{path}: not a serialized Q-model (bad magic)")
-    offset = len(_MAGIC)
-    (version,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if version != _VERSION:
-        raise ModelFormatError(f"{path}: unsupported model version {version}")
-    (blob_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if len(data) < offset + blob_len + 12:
-        raise ModelFormatError(f"{path}: truncated model file")
-    try:
-        meta = json.loads(data[offset : offset + blob_len].decode("utf-8"))
-        cfg = AgentConfig(**meta["agent"])
-    except (ValueError, KeyError, TypeError, QLearnError) as exc:
-        raise ModelFormatError(f"{path}: bad config block: {exc}") from None
-    offset += blob_len
-    shape = struct.unpack_from("<III", data, offset)
-    offset += 12
-    expected = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
-    if shape != expected:
-        raise ModelFormatError(f"{path}: table shape {shape} does not match config {expected}")
-    n_bytes = shape[0] * shape[1] * shape[2] * 8
-    if len(data) != offset + n_bytes:
-        raise ModelFormatError(f"{path}: truncated model file")
-    table = np.frombuffer(data, dtype="<f8", offset=offset).reshape(shape).copy()
+    """Inverse of :func:`save_model`; rejects foreign or truncated files.
+
+    The table is read straight into its array, so loading holds one copy of it.
+    """
+    with Path(path).open("rb") as handle:
+        head = handle.read(len(_MAGIC) + 8)
+        if len(head) < len(_MAGIC) + 8 or not head.startswith(_MAGIC):
+            raise ModelFormatError(f"{path}: not a serialized Q-model (bad magic)")
+        version, blob_len = struct.unpack_from("<II", head, len(_MAGIC))
+        if version != _VERSION:
+            raise ModelFormatError(f"{path}: unsupported model version {version}")
+        blob = handle.read(blob_len)
+        shape_bytes = handle.read(12)
+        if len(blob) < blob_len or len(shape_bytes) < 12:
+            raise ModelFormatError(f"{path}: truncated model file")
+        try:
+            meta = json.loads(blob.decode("utf-8"))
+            cfg = AgentConfig(**meta["agent"])
+        except (ValueError, KeyError, TypeError, QLearnError) as exc:
+            raise ModelFormatError(f"{path}: bad config block: {exc}") from None
+        shape = struct.unpack("<III", shape_bytes)
+        expected = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
+        if shape != expected:
+            raise ModelFormatError(f"{path}: table shape {shape} does not match config {expected}")
+        table = np.empty(shape, dtype="<f8")
+        if handle.readinto(memoryview(table).cast("B")) != table.nbytes or handle.read(1):
+            raise ModelFormatError(f"{path}: truncated model file")
     return QModel(cfg, table, meta.get("reward"), meta.get("attribute"))

@@ -1,13 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written straight from the defining formulas in plain
-Python (``math`` only, no numpy), deliberately sharing no code with
-``sentiq`` so that agreement between the two is meaningful evidence.
+Python (no numpy), deliberately sharing no code with ``sentiq`` so that
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
+import datetime as dt
+import itertools
 import math
+import re
 
 
 # ---------------------------------------------------------------------------
@@ -87,3 +90,42 @@ def o_value_iteration(n_states, n_actions, transition, reward, gamma, tol=1e-12)
         best = max(qs)
         policy.append(min(a for a in range(n_actions) if qs[a] == best))
     return policy, values
+
+
+# ---------------------------------------------------------------------------
+# Tweet cleaning, the eight steps of ``sentiq.preprocess``'s docstring, every
+# step applied unconditionally.
+
+def _o_drop_leading_rt(t: str) -> str:
+    t = t.lstrip()
+    while t == "rt" or (t[:2] == "rt" and t[2:3].isspace()):
+        t = t[2:].lstrip()
+    return t
+
+
+def o_clean_pass(text: str) -> str:
+    t = text.lower()
+    t = _o_drop_leading_rt(t)
+    t = re.sub(r"https?://\S*", "", t)
+    t = re.sub(r"(?:^|(?<=\s))www\.\S*", "", t)
+    t = re.sub(r"@\w*", "", t)
+    t = t.replace("#", "")
+    t = re.sub(r"\.\.+", " ", t)
+    t = "".join(ch * min(3, len(list(run))) for ch, run in itertools.groupby(t))
+    t = re.sub(r"\s+", " ", t)
+    return t.strip()
+
+
+def o_clean(text: str) -> str:
+    """``o_clean_pass`` repeated until the text stops changing."""
+    while (cleaned := o_clean_pass(text)) != text:
+        text = cleaned
+    return cleaned
+
+
+# ---------------------------------------------------------------------------
+# UTC calendar days.
+
+def o_utc_day(timestamp: int) -> dt.date:
+    """The UTC date ``timestamp`` seconds after 1970-01-01T00:00:00Z."""
+    return (dt.datetime(1970, 1, 1) + dt.timedelta(seconds=timestamp)).date()

@@ -88,6 +88,24 @@ def test_domain_errors_exit_1(tmp_path):
     assert err.startswith("error: ")
 
 
+def test_out_of_range_timestamp_exits_1_with_one_line(tmp_path):
+    tweets = tmp_path / "tweets.csv"
+    tweets.write_text(
+        "id,timestamp,text,followers,comments,likes,retweets\n"
+        "a,1609459200000,millisecond epoch,0,0,0,0\n",
+        encoding="utf-8",
+    )
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,price\n2021-01-01,100.00\n2021-01-02,101.00\n", encoding="utf-8")
+    for extra in ([], ["--prices", prices]):
+        code, _, err = run_cli(
+            ["preprocess", "--tweets", tweets, "--out", "o.csv", *extra], cwd=tmp_path
+        )
+        assert code == 1
+        assert err.startswith(f"error: {tweets}:2: field 'timestamp': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_config_file_errors_exit_1(tmp_path):
     bad_key = tmp_path / "bad_key.cfg"
     bad_key.write_text("bogus_knob = 3\n", encoding="utf-8")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_series, make_tweet
+from oracles import o_utc_day
 from sentiq.corpus import (
     CorpusError,
     PricePoint,
@@ -183,6 +184,31 @@ def test_load_tweets_structural_errors(tmp_path):
 
     with pytest.raises(CorpusError, match="unknown tweet format"):
         load_tweets(short_row, format="xml")
+
+
+def test_load_tweets_rejects_timestamps_outside_date_range(tmp_path):
+    # A millisecond epoch (2021-01-01T00:00:00Z * 1000) falls in the year 52971.
+    path = write_lines(
+        tmp_path / "t.csv", [HEADER, f"a,{T0},ok,0,0,0,0", "b,1609459200000,ms,0,0,0,0"]
+    )
+    for window in (None, (D0, D0)):
+        with pytest.raises(CorpusError) as info:
+            load_tweets(path, window=window)
+        message = str(info.value)
+        assert message.startswith(f"{path}:3: field 'timestamp': 1609459200000 ")
+        assert "\n" not in message
+
+    first = int(dt.datetime(1, 1, 1, tzinfo=dt.timezone.utc).timestamp())
+    last = first + (dt.date.max - dt.date.min).days * DAY + DAY - 1
+    edges = write_lines(tmp_path / "e.csv", [HEADER, f"a,{first},x,0,0,0,0", f"b,{last},y,0,0,0,0"])
+    assert [r.day() for r in load_tweets(edges).records] == [dt.date.min, dt.date.max]
+    for i, ts in enumerate((first - 1, last + 1)):
+        bad = write_lines(
+            tmp_path / f"b{i}.jsonl",
+            [f'{{"id": "a", "timestamp": {ts}, "text": "x", "followers": 0, "comments": 0, "likes": 0, "retweets": 0}}'],
+        )
+        with pytest.raises(CorpusError, match=r":1: field 'timestamp'"):
+            load_tweets(bad, format="jsonl")
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +407,48 @@ def test_window_partition_property(tmp_path_factory, offsets, n_days):
     assert sum(len(b.tweets) for b in buckets) == len(loaded.records)
     for bucket in buckets:
         assert all(t.day() == bucket.date for t in bucket.tweets)
+
+
+# ---------------------------------------------------------------------------
+# UTC day boundaries: window filter, both bucketings and day_of agree
+
+
+def boundary_timestamps(days):
+    """First and last second of each day and of its neighbours."""
+    out = []
+    for day in days:
+        start = int(dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp())
+        out += [start - DAY, start - 1, start, start + 1, start + DAY - 1, start + DAY]
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize(
+    "start",
+    [D0, dt.date(1970, 1, 1), dt.date(1969, 12, 30), dt.date(1901, 6, 1)],
+)
+def test_day_boundaries_agree_with_day_of(tmp_path, start):
+    series = make_series([10.0, 11.0, 12.0], start=start)
+    first, last = series.window()
+    stamps = boundary_timestamps(series.dates)
+    assert [day_of(ts) for ts in stamps] == [o_utc_day(ts) for ts in stamps]
+    records = [make_tweet(f"t{i:02d}", ts, f"text {i}") for i, ts in enumerate(stamps)]
+    path = tmp_path / "t.csv"
+    write_tweets(records, path)
+
+    loaded = load_tweets(path, window=(first, last))
+    inside = [r for r in records if first <= o_utc_day(r.timestamp) <= last]
+    assert list(loaded.records) == inside
+    assert loaded.dropped_out_of_window == len(records) - len(inside)
+
+    by_series = bucket_by_day(records, series)
+    assert [b.date for b in by_series] == list(series.dates)
+    for bucket in by_series:
+        assert [t.id for t in bucket.tweets] == [
+            r.id for r in records if o_utc_day(r.timestamp) == bucket.date
+        ]
+
+    own_days = bucket_all_days(records)
+    assert [b.date for b in own_days] == sorted({o_utc_day(r.timestamp) for r in records})
+    for bucket in own_days:
+        assert all(day_of(t.timestamp) == bucket.date for t in bucket.tweets)
+    assert sum(len(b.tweets) for b in own_days) == len(records)

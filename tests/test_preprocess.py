@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
+from oracles import o_clean
 from sentiq.corpus import DayBucket, load_tweets
 from sentiq.preprocess import (
     CleanTweet,
@@ -163,6 +164,19 @@ def test_clean_idempotent_and_safe_on_random_text(text):
 @given(noisy_fragments)
 def test_clean_idempotent_and_safe_on_noisy_fragments(fragments):
     assert_clean_invariants(clean("".join(fragments)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(noise_text)
+def test_clean_matches_unguarded_reference_on_random_text(text):
+    assert clean(text) == o_clean(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_fragments)
+def test_clean_matches_unguarded_reference_on_noisy_fragments(fragments):
+    text = "".join(fragments)
+    assert clean(text) == o_clean(text)
 
 
 # ---------------------------------------------------------------------------

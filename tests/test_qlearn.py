@@ -700,6 +700,23 @@ def test_load_rejects_foreign_and_truncated_files(tmp_path):
         load_model(truncated)
 
 
+def test_load_rejects_short_blocks_and_trailing_bytes(tmp_path):
+    model = QModel.zeros(AgentConfig(action_min=0, action_max=1))
+    good = tmp_path / "good.bin"
+    save_model(model, good)
+    data = good.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", data, 12)
+    bad = tmp_path / "bad.bin"
+    # Cut inside the config block, inside the shape triple, and one byte into the table.
+    for cut in (16 + blob_len // 2, 16 + blob_len + 6, 16 + blob_len + 13):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(bad)
+    bad.write_bytes(data + b"\x00")
+    with pytest.raises(ModelFormatError, match="truncated"):
+        load_model(bad)
+
+
 def test_load_rejects_unknown_version(tmp_path):
     model = QModel.zeros(AgentConfig(action_min=0, action_max=1))
     path = tmp_path / "m.bin"
