@@ -8,89 +8,37 @@ next-day price predictor (:mod:`.qlearn`), score it (:mod:`.metrics`), and
 compare the filtered pipeline against the everything-in baseline under a
 resource profiler (:mod:`.bench`, :mod:`.profiler`). :mod:`.synth` makes
 seeded corpora with a recoverable planted signal for experiments.
+
+The names below are the quickstart surface; everything else is imported
+from its own module (``from sentiq.corpus import load_tweets``).
 """
 
-from .attributes import Attribute, FilteredCorpus, attribute_value, build_dataset, rank_and_halve
-from .bench import (
-    ApproachResult,
-    BenchConfig,
-    ComparisonReport,
-    chronological_split,
-    run_fixed_time,
-    run_to_target,
-)
-from .corpus import (
-    DayBucket,
-    PricePoint,
-    PriceSeries,
-    TweetLoadResult,
-    TweetRecord,
-    bucket_all_days,
-    bucket_by_day,
-    load_prices,
-    load_tweets,
-    round_price,
-    write_prices,
-    write_tweets,
-)
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    CorpusError,
-    LexiconError,
-    ModelFormatError,
-    ProfilerError,
-    SentiqError,
-)
-from .metrics import (
-    EvalReport,
-    MetricError,
-    evaluate,
-    mape,
-    nse,
-    r2,
-    rmse,
-    sample_variance,
-    vaf,
-    wmape,
-)
-from .preprocess import CleanTweet, clean, clean_and_dedup, clean_bucket, clean_buckets, dedup
-from .profiler import ProfilerHandle, ResourceReport, ResourceSample, start, stop
+from .attributes import Attribute, build_dataset
+from .bench import BenchConfig, chronological_split, run_to_target
+from .corpus import bucket_by_day
+from .metrics import evaluate, vaf
+from .preprocess import clean, clean_and_dedup
 from .qlearn import (
     CDR,
     RDR,
-    REWARD_KINDS,
     SDR,
     AgentConfig,
-    QLearnError,
-    QModel,
-    State,
-    TrainLog,
-    ZeroRewardGeometry,
-    discretize_state,
-    epsilon_at,
-    load_model,
     predict_series,
-    predicted_price,
-    q_update,
     reward_cdr,
     reward_rdr,
     reward_sdr,
-    save_model,
-    select_action,
     train,
     zero_reward_points,
 )
-from .sentiment import (
-    DailySignal,
-    Lexicon,
-    SentimentScore,
-    builtin_lexicon,
-    daily_signal,
-    daily_signals,
-    load_lexicon,
-    score,
-)
-from .synth import SynthConfig, SynthError, gen_corpus
+from .sentiment import builtin_lexicon, daily_signals
+from .synth import SynthConfig, gen_corpus
+
+__all__ = [
+    "AgentConfig", "Attribute", "BenchConfig", "CDR", "RDR", "SDR", "SynthConfig",
+    "bucket_by_day", "build_dataset", "builtin_lexicon", "chronological_split", "clean",
+    "clean_and_dedup", "daily_signals", "evaluate", "gen_corpus", "predict_series",
+    "reward_cdr", "reward_rdr", "reward_sdr", "run_to_target", "train", "vaf",
+    "zero_reward_points",
+]
 
 __version__ = "0.1.0"

@@ -21,16 +21,11 @@ class Attribute(str, enum.Enum):
     RETWEETS = "retweets"
 
 
-def attribute_value(tweet: object, attribute: Attribute) -> int:
-    """Engagement count for a raw or cleaned tweet."""
-    record = getattr(tweet, "original", tweet)
-    return getattr(record, attribute.value)
-
-
 def rank_and_halve(bucket: DayBucket, attribute: Attribute) -> DayBucket:
-    """Keep the day's top ``ceil(n/2)`` tweets by attribute.
+    """Keep the day's top ``ceil(n/2)`` tweets by attribute, in rank order.
 
-    Ties rank the earlier timestamp first, then the smaller id.
+    The kept tweets are ordered by the attribute, highest first, not by time;
+    ties rank the earlier timestamp first, then the smaller id.
     """
     def key(tweet):
         record = getattr(tweet, "original", tweet)

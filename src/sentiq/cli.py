@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import json
 import logging
+import math
 import sys
+from collections import ChainMap
 from pathlib import Path
 
 from . import bench, corpus, preprocess, qlearn, synth
@@ -48,9 +51,9 @@ _STR_KEYS = {
 CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
-def load_run_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file."""
-    values: dict[str, str] = {}
+def load_run_config(path: str | Path) -> dict[str, int | float | str]:
+    """Parse a flat ``key = value`` config file, casting each value to its key's type."""
+    values: dict[str, int | float | str] = {}
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -59,60 +62,45 @@ def load_run_config(path: str | Path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            cast = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+            try:
+                values[key] = cast(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: config key {key!r}: not a number: {value!r}"
+                ) from None
     return values
 
 
-class _Options:
-    """Three-layer lookup: flag beats config file beats default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = load_run_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file:
-            return self._cast(key, self.file[key])
-        return default
-
-    @staticmethod
-    def _cast(key: str, raw: str):
-        try:
-            if key in _INT_KEYS:
-                return int(raw)
-            if key in _FLOAT_KEYS:
-                return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not a number: {raw!r}") from None
-        return raw
+def _options(args: argparse.Namespace) -> ChainMap:
+    """Settings by precedence: the flags that were given, then the config file."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    return ChainMap(flags, load_run_config(flags["config"]) if "config" in flags else {})
 
 
-def _agent_config(opts: _Options) -> qlearn.AgentConfig:
-    defaults = qlearn.AgentConfig()
-    return qlearn.AgentConfig(
-        gamma=opts.get("gamma", defaults.gamma),
-        theta=opts.get("theta", defaults.theta),
-        action_min=opts.get("action_min", defaults.action_min),
-        action_max=opts.get("action_max", defaults.action_max),
-        epsilon_start=opts.get("epsilon_start", defaults.epsilon_start),
-        epsilon_end=opts.get("epsilon_end", defaults.epsilon_end),
-        episodes=opts.get("episodes", defaults.episodes),
-        price_bucket_width=opts.get("price_bucket_width", defaults.price_bucket_width),
-        price_max=opts.get("price_max", defaults.price_max),
-        sentiment_bins=opts.get("sentiment_bins", defaults.sentiment_bins),
-        state_mode=opts.get("state", defaults.state_mode),
-        seed=opts.get("seed", defaults.seed),
-    )
+def _given(opts: ChainMap, cls, **keys: str) -> dict:
+    """``cls``'s fields that were set, as keyword arguments.
+
+    ``keys`` names the setting behind a field when the two names differ; the
+    fields left out keep their dataclass defaults.
+    """
+    settings = {field.name: keys.get(field.name, field.name) for field in dataclasses.fields(cls)}
+    return {name: opts[key] for name, key in settings.items() if key in opts}
 
 
-def _attribute(opts: _Options, default: str = "none") -> Attribute | None:
-    name = opts.get("attribute", default)
+def _agent_config(opts: ChainMap) -> qlearn.AgentConfig:
+    return qlearn.AgentConfig(**_given(opts, qlearn.AgentConfig, state_mode="state"))
+
+
+def _format(opts: ChainMap) -> str:
+    return opts.get("format", "csv")
+
+
+def _attribute(opts: ChainMap) -> Attribute | None:
+    name = opts.get("attribute", "none")
     if name == "none":
         return None
     try:
@@ -123,12 +111,12 @@ def _attribute(opts: _Options, default: str = "none") -> Attribute | None:
         ) from None
 
 
-def _lexicon(opts: _Options) -> Lexicon:
+def _lexicon(opts: ChainMap) -> Lexicon:
     path = opts.get("lexicon")
     return load_lexicon(path) if path else builtin_lexicon()
 
 
-def _load_cleaned(opts: _Options):
+def _load_cleaned(opts: ChainMap):
     """Load, bucket, clean and dedup the tweets; returns (price series or None, buckets).
 
     With ``prices`` set, tweets outside the series window are dropped and the
@@ -138,7 +126,7 @@ def _load_cleaned(opts: _Options):
     series = corpus.load_prices(prices) if prices else None
     loaded = corpus.load_tweets(
         opts.get("tweets"),
-        format=opts.get("format", "csv"),
+        format=_format(opts),
         window=None if series is None else series.window(),
     )
     if series is not None:
@@ -148,23 +136,15 @@ def _load_cleaned(opts: _Options):
     return series, preprocess.clean_and_dedup(buckets)
 
 
-def _signal_pipeline(opts: _Options, attribute: Attribute | None):
+def _signal_pipeline(opts: ChainMap, attribute: Attribute | None):
+    """The price series and one daily signal per series day."""
     series, buckets = _load_cleaned(opts)
-    dataset = build_dataset(buckets, attribute)
-    return series, dataset, daily_signals(dataset.buckets, _lexicon(opts))
+    return series, daily_signals(build_dataset(buckets, attribute).buckets, _lexicon(opts))
 
 
 def _write_cleaned(buckets, path: Path, format: str) -> int:
     records = [
-        corpus.TweetRecord(
-            id=t.original.id,
-            timestamp=t.original.timestamp,
-            text=t.clean_text,
-            followers=t.original.followers,
-            comments=t.original.comments,
-            likes=t.original.likes,
-            retweets=t.original.retweets,
-        )
+        dataclasses.replace(t.original, text=t.clean_text)
         for bucket in buckets
         for t in bucket.tweets
     ]
@@ -172,36 +152,32 @@ def _write_cleaned(buckets, path: Path, format: str) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
+    # SynthConfig has no defaults for these three.
     cfg = synth.SynthConfig(
-        days=opts.get("days", 100),
-        tweets_per_day=opts.get("tweets_per_day", 50),
-        rho=opts.get("rho", 0.8),
-        base_price=opts.get("base_price", 20_000.0),
-        daily_vol=opts.get("daily_vol", 0.02),
-        seed=opts.get("seed", 0),
+        **{"days": 100, "tweets_per_day": 50, "rho": 0.8, **_given(opts, synth.SynthConfig)}
     )
     tweets, series = synth.gen_corpus(cfg)
-    n = corpus.write_tweets(tweets, args.out_tweets, format=opts.get("format", "csv"))
+    n = corpus.write_tweets(tweets, args.out_tweets, format=_format(opts))
     m = corpus.write_prices(series, args.out_prices)
     print(f"wrote {n} tweets to {args.out_tweets} and {m} prices to {args.out_prices}")
     return 0
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     _, cleaned = _load_cleaned(opts)
-    n = _write_cleaned(cleaned, args.out, opts.get("format", "csv"))
+    n = _write_cleaned(cleaned, args.out, _format(opts))
     print(f"wrote {n} cleaned tweets to {args.out}")
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     attribute = _attribute(opts)
     _, cleaned = _load_cleaned(opts)
     dataset = build_dataset(cleaned, attribute)
-    n = _write_cleaned(dataset.buckets, args.out, opts.get("format", "csv"))
+    n = _write_cleaned(dataset.buckets, args.out, _format(opts))
     meta = {
         "attribute": attribute.value if attribute else "none",
         "source": str(opts.get("tweets")),
@@ -215,8 +191,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_sentiment(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    series, dataset, signals = _signal_pipeline(opts, _attribute(opts))
+    opts = _options(args)
+    series, signals = _signal_pipeline(opts, _attribute(opts))
     with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "mean_compound", "tweet_count"])
@@ -229,11 +205,11 @@ def cmd_sentiment(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     attribute = _attribute(opts)
     cfg = _agent_config(opts)
     reward = opts.get("reward", qlearn.CDR)
-    series, dataset, signals = _signal_pipeline(opts, attribute)
+    series, signals = _signal_pipeline(opts, attribute)
     model, log = qlearn.train(
         series, signals, reward, cfg, attribute=attribute.value if attribute else None
     )
@@ -256,10 +232,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     model = qlearn.load_model(args.model)
     attribute = Attribute(model.attribute) if model.attribute else None
-    series, dataset, signals = _signal_pipeline(opts, attribute)
+    series, signals = _signal_pipeline(opts, attribute)
     predictions = qlearn.predict_series(model, series, signals)
     with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -271,7 +247,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _load_series_file(path: str | Path) -> dict[dt.date, float]:
-    """date,price CSV as a mapping; no contiguity/positivity constraints."""
+    """date,price CSV as a mapping; prices must be finite, no contiguity/positivity constraints."""
     out: dict[dt.date, float] = {}
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -284,13 +260,21 @@ def _load_series_file(path: str | Path) -> dict[dt.date, float]:
                 continue
             if len(row) != 2:
                 raise CorpusError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            where = f"{path}:{reader.line_num}"
             try:
                 date = dt.date.fromisoformat(row[0])
-                value = float(row[1])
             except ValueError:
-                raise CorpusError(f"{path}:{reader.line_num}: bad date or price") from None
+                raise CorpusError(f"{where}: field 'date': not an ISO date: {row[0]!r}") from None
+            try:
+                value = float(row[1])
+                if not math.isfinite(value):
+                    raise ValueError
+            except ValueError:
+                raise CorpusError(
+                    f"{where}: field 'price': not a finite number: {row[1]!r}"
+                ) from None
             if date in out:
-                raise CorpusError(f"{path}:{reader.line_num}: duplicate date {date}")
+                raise CorpusError(f"{where}: duplicate date {date}")
             out[date] = value
     return out
 
@@ -312,17 +296,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     series = corpus.load_prices(opts.get("prices"))
-    loaded = corpus.load_tweets(
-        opts.get("tweets"), format=opts.get("format", "csv"), window=series.window()
-    )
+    loaded = corpus.load_tweets(opts.get("tweets"), format=_format(opts), window=series.window())
     cfg = bench.BenchConfig(
-        agent=_agent_config(opts),
-        reward=opts.get("reward", qlearn.CDR),
-        train_frac=opts.get("train_frac", 0.7),
-        timeout_seconds=opts.get("timeout", 600.0),
-        profile_interval=opts.get("profile_interval", 0.25),
+        agent=_agent_config(opts), **_given(opts, bench.BenchConfig, timeout_seconds="timeout")
     )
     lexicon = _lexicon(opts)
     if args.mode == "time":

@@ -152,10 +152,12 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class DayBucket:
-    """All tweets of one UTC calendar day, ordered by (timestamp, id).
+    """The tweets of one UTC calendar day.
 
-    ``tweets`` holds raw records after :func:`bucket_by_day` and cleaned
-    records once the preprocessing stage has run.
+    ``tweets`` holds raw records in (timestamp, id) order after
+    :func:`bucket_by_day`, and cleaned records in the same order after
+    preprocessing. :func:`sentiq.attributes.rank_and_halve` returns its kept
+    tweets in rank order instead: attribute descending, then timestamp, then id.
     """
 
     date: dt.date

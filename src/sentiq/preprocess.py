@@ -23,7 +23,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .corpus import DayBucket
+from .corpus import DayBucket, TweetRecord
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +80,7 @@ def clean(text: str) -> str:
 class CleanTweet:
     """A tweet paired with its normalized text."""
 
-    original: object  # TweetRecord
+    original: TweetRecord
     clean_text: str
 
 

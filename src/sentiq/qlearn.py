@@ -239,12 +239,9 @@ class QModel:
         shape = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
         return cls(cfg, np.zeros(shape, dtype=np.float64), reward, attribute)
 
-    def q_values(self, s: State) -> np.ndarray:
-        return self.table[s.price_bin, s.sentiment_bin]
-
     def greedy_action(self, s: State) -> int:
         """Highest-Q percent for a state; ties resolve to the smallest percent."""
-        return self.config.action_min + int(np.argmax(self.q_values(s)))
+        return self.config.action_min + int(np.argmax(self.table[s.price_bin, s.sentiment_bin]))
 
 
 def q_update(model: QModel, s: State, a: int, r: float, s_next: State) -> float:

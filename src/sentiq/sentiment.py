@@ -28,11 +28,6 @@ _NORMALIZATION = 15.0
 
 
 @dataclass(frozen=True)
-class SentimentScore:
-    compound: float
-
-
-@dataclass(frozen=True)
 class DailySignal:
     """Mean tweet sentiment for one calendar day."""
 
@@ -99,8 +94,8 @@ def compound_of(raw_sum: float) -> float:
     return raw_sum / math.sqrt(raw_sum * raw_sum + _NORMALIZATION)
 
 
-def score(text: str, lexicon: Lexicon) -> SentimentScore:
-    """Score one text; texts with no lexicon hits score 0."""
+def score(text: str, lexicon: Lexicon) -> float:
+    """One text's compound; texts with no lexicon hits score 0."""
     total = 0.0
     for token in text.split():
         bangs = 0
@@ -113,7 +108,7 @@ def score(text: str, lexicon: Lexicon) -> SentimentScore:
         if valence is None:
             continue
         total += valence * EMPHASIS_FACTOR ** min(bangs, _MAX_EMPHASIS)
-    return SentimentScore(compound_of(total))
+    return compound_of(total)
 
 
 def daily_signal(bucket: DayBucket, lexicon: Lexicon) -> DailySignal:
@@ -122,7 +117,7 @@ def daily_signal(bucket: DayBucket, lexicon: Lexicon) -> DailySignal:
         return DailySignal(bucket.date, 0.0, 0)
     total = 0.0
     for tweet in bucket.tweets:
-        total += score(tweet.clean_text, lexicon).compound
+        total += score(tweet.clean_text, lexicon)
     return DailySignal(bucket.date, total / len(bucket.tweets), len(bucket.tweets))
 
 

@@ -9,6 +9,7 @@ its own wall-clock budget. Run the whole gate with::
     python -m pytest tests/test_acceptance.py -v
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -55,6 +56,18 @@ ATTRIBUTES = (
 
 def planted_corpus(seed: int):
     return gen_corpus(SynthConfig(days=1000, tweets_per_day=200, rho=0.8, seed=seed))
+
+
+@pytest.fixture(scope="module")
+def planted_corpora():
+    """``planted_corpus``, generated on a seed's first use and shared by 05 and 06.
+
+    The first test to ask for a seed pays for generating it inside its own
+    timed body; the corpora are released when this module's tests finish.
+    """
+    corpus = functools.lru_cache(maxsize=None)(planted_corpus)
+    yield corpus
+    corpus.cache_clear()
 
 
 def planted_agent(seed: int) -> AgentConfig:
@@ -264,14 +277,14 @@ def test_acceptance_04_cleaning_goldens(capsys, data_dir):
         print(f"ACCEPTANCE 04 cleaning goldens: PASS ({elapsed:.2f}s)")
 
 
-def test_acceptance_05_planted_signal_recovery(capsys, lexicon):
+def test_acceptance_05_planted_signal_recovery(capsys, lexicon, planted_corpora):
     t0 = time.perf_counter()
 
     follower_wins = 0
     normalized_reward_wins = 0
     per_seed = []
     for seed in range(10):
-        tweets, series = planted_corpus(seed)
+        tweets, series = planted_corpora(seed)
         cleaned = clean_and_dedup(bucket_by_day(tweets, series))
         cfg = planted_agent(seed)
         scores = {}
@@ -315,7 +328,7 @@ def test_acceptance_05_planted_signal_recovery(capsys, lexicon):
         )
 
 
-def test_acceptance_06_resource_comparison(capsys, lexicon):
+def test_acceptance_06_resource_comparison(capsys, lexicon, planted_corpora):
     t0 = time.perf_counter()
 
     # CPU-channel calibration: a spin loop must read high, sleep must read low.
@@ -334,7 +347,7 @@ def test_acceptance_06_resource_comparison(capsys, lexicon):
 
     wall_wins = 0
     for seed in range(10):
-        tweets, series = planted_corpus(seed)
+        tweets, series = planted_corpora(seed)
         cfg = BenchConfig(
             agent=planted_agent(seed),
             reward=CDR,

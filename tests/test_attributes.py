@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
-from sentiq.attributes import Attribute, attribute_value, build_dataset, rank_and_halve
+from sentiq.attributes import Attribute, build_dataset, rank_and_halve
 from sentiq.corpus import DayBucket
 from sentiq.preprocess import CleanTweet
 
@@ -83,10 +83,14 @@ def test_each_attribute_ranks_its_own_field():
         assert out.tweets[0].original.id == f"t{i}"
 
 
-def test_attribute_value_reads_raw_or_cleaned():
-    raw = make_tweet("r", T0, "x", likes=12)
-    assert attribute_value(raw, Attribute.LIKES) == 12
-    assert attribute_value(CleanTweet(raw, "x"), Attribute.LIKES) == 12
+def test_ranks_raw_records_like_cleaned_ones():
+    # compare's filter-first path ranks raw TweetRecords, before cleaning.
+    raw = tuple(make_tweet(f"r{i}", T0 + i, f"x{i}", likes=n) for i, n in enumerate([3, 12, 7, 1]))
+    cleaned = tuple(CleanTweet(t, t.text) for t in raw)
+    kept_raw = rank_and_halve(DayBucket(D0, raw), Attribute.LIKES).tweets
+    kept_clean = rank_and_halve(DayBucket(D0, cleaned), Attribute.LIKES).tweets
+    assert [t.id for t in kept_raw] == ["r1", "r2"]
+    assert kept_raw == tuple(t.original for t in kept_clean)
 
 
 # ---------------------------------------------------------------------------

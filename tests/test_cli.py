@@ -123,7 +123,17 @@ def test_config_file_errors_exit_1(tmp_path):
         cwd=tmp_path,
     )
     assert code == 1
-    assert "not a number" in err
+    assert f"{bad_value}:1: config key 'days': not a number: 'soon'" in err
+
+    # Values are cast as the file is read, so a key synth never reads fails too.
+    unread = tmp_path / "unread.cfg"
+    unread.write_text("days = 3\nbudget = soon\n", encoding="utf-8")
+    code, _, err = run_cli(
+        ["synth", "--config", unread, "--out-tweets", "t.csv", "--out-prices", "p.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 1
+    assert f"{unread}:2: config key 'budget': not a number: 'soon'" in err
 
     not_assignment = tmp_path / "broken.cfg"
     not_assignment.write_text("days\n", encoding="utf-8")
@@ -213,6 +223,29 @@ def test_split_writes_sidecar_metadata(cli_corpus):
     dataset = build_dataset(buckets, Attribute.FOLLOWERS)
     assert meta["tweets"] == dataset.total_tweets
     assert len(load_tweets(out).records) == dataset.total_tweets
+
+
+def test_split_writes_each_day_in_rank_order(tmp_path):
+    code, _, err = run_cli(
+        ["synth", "--days", 3, "--tweets-per-day", 6, "--seed", 1,
+         "--out-tweets", "tweets.csv", "--out-prices", "prices.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    code, _, err = run_cli(
+        ["split", "--tweets", "tweets.csv", "--prices", "prices.csv",
+         "--attribute", "followers", "--out", "split.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    records = load_tweets(tmp_path / "split.csv").records
+    # Days in series order; within a day, followers descending, not time order.
+    assert [r.day() for r in records] == sorted(r.day() for r in records)
+    assert [r.id for r in records[:3]] == ["00000001", "00000002", "00000000"]
+    assert records[0].timestamp > records[1].timestamp
+    for day in {r.day() for r in records}:
+        followers = [r.followers for r in records if r.day() == day]
+        assert followers == sorted(followers, reverse=True)
 
 
 def test_sentiment_writes_daily_signal_csv(cli_corpus):
@@ -389,6 +422,19 @@ def test_evaluate_error_cases(tmp_path):
     )
     assert code == 1
     assert "expected header date,price" in err
+
+    for row, expected in (
+        (("2021-01-02", "nan"), "field 'price': not a finite number: 'nan'"),
+        (("2021-01-02", "inf"), "field 'price': not a finite number: 'inf'"),
+        (("2021-01-02", "cheap"), "field 'price': not a finite number: 'cheap'"),
+        (("2021-02-30", "101.0"), "field 'date': not an ISO date: '2021-02-30'"),
+    ):
+        write_series_csv(actual, [("2021-01-01", "100.0"), row])
+        code, _, err = run_cli(
+            ["evaluate", "--actual", actual, "--predicted", predicted], cwd=tmp_path
+        )
+        assert code == 1
+        assert err == f"error: {actual}:3: {expected}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -92,50 +92,50 @@ def lex_of(**entries):
 
 
 def test_score_no_hits_is_zero(lexicon):
-    assert score("completely unknown words", lexicon).compound == 0.0
-    assert score("", lexicon).compound == 0.0
+    assert score("completely unknown words", lexicon) == 0.0
+    assert score("", lexicon) == 0.0
 
 
 def test_score_normalization_sum_15():
     lex = lex_of(great=15.0)
     expected = 15.0 / math.sqrt(15.0**2 + 15.0)
-    assert score("great", lex).compound == pytest.approx(expected, abs=1e-12)
+    assert score("great", lex) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.9682, abs=1e-4)
 
 
 def test_score_normalization_single_2():
     lex = lex_of(boom=2.0)
     expected = 2.0 / math.sqrt(2.0**2 + 15.0)
-    assert score("boom", lex).compound == pytest.approx(expected, abs=1e-12)
+    assert score("boom", lex) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.4588, abs=1e-4)
 
 
 def test_score_sums_valences_over_tokens():
     lex = lex_of(up=1.0, down=-0.4)
-    got = score("up and down and up", lex).compound
+    got = score("up and down and up", lex)
     assert got == pytest.approx(compound_of(1.0 - 0.4 + 1.0), abs=1e-15)
 
 
 def test_exclamation_emphasis_scales_per_bang():
     lex = lex_of(pump=1.0)
     for bangs in range(4):
-        got = score("pump" + "!" * bangs, lex).compound
+        got = score("pump" + "!" * bangs, lex)
         assert got == pytest.approx(compound_of(EMPHASIS_FACTOR**bangs), abs=1e-15)
 
 
 def test_exclamation_emphasis_caps_at_three():
     lex = lex_of(pump=1.0)
-    assert score("pump!!!!!!", lex).compound == score("pump!!!", lex).compound
+    assert score("pump!!!!!!", lex) == score("pump!!!", lex)
 
 
 def test_bare_exclamations_are_ignored():
     lex = lex_of(pump=1.0)
-    assert score("!!! !", lex).compound == 0.0
+    assert score("!!! !", lex) == 0.0
 
 
 def test_emphasis_applies_to_negative_valence_too():
     lex = lex_of(crash=-2.0)
-    assert score("crash!!", lex).compound == pytest.approx(
+    assert score("crash!!", lex) == pytest.approx(
         compound_of(-2.0 * EMPHASIS_FACTOR**2), abs=1e-15
     )
 
@@ -159,7 +159,7 @@ def test_negating_lexicon_negates_compound():
     pos = lex_of(up=0.7, down=-1.1, meh=0.2)
     neg = lex_of(up=-0.7, down=1.1, meh=-0.2)
     text = "up down!! meh up"
-    assert score(text, neg).compound == pytest.approx(-score(text, pos).compound, abs=1e-15)
+    assert score(text, neg) == pytest.approx(-score(text, pos), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_daily_signal_is_arithmetic_mean():
     signal = daily_signal(signal_bucket(["mild", "firm", "loud"]), lex)
     assert signal.mean_compound == pytest.approx(0.5, abs=1e-9)
     expected = (
-        score("mild", lex).compound + score("firm", lex).compound + score("loud", lex).compound
+        score("mild", lex) + score("firm", lex) + score("loud", lex)
     ) / 3
     assert signal.mean_compound == expected
 
@@ -229,7 +229,7 @@ def test_daily_mean_lies_within_member_range(texts_per_tweet):
     lex = builtin_lexicon()
     texts = [" ".join(tokens) for tokens in texts_per_tweet]
     bucket = signal_bucket(texts)
-    compounds = [score(t, lex).compound for t in texts]
+    compounds = [score(t, lex) for t in texts]
     signal = daily_signal(bucket, lex)
     assert min(compounds) - 1e-12 <= signal.mean_compound <= max(compounds) + 1e-12
     assert signal.tweet_count == len(texts)
