@@ -2,8 +2,8 @@
 End-to-end pipeline on a synthetic corpus
 =========================================
 
-Generate a seeded tweet corpus with a planted follower signal, normalize
-the texts, keep each day's most-followed half, reduce each day to a mean
+Generate a seeded tweet corpus with a planted follower signal, keep each
+day's most-followed half, normalize only those texts, reduce each day to a mean
 sentiment compound, train the Q-learning predictor, and score its
 next-day price predictions on a held-out tail.
 """
@@ -41,16 +41,18 @@ messy = "Soooooo BULLISH!!!! Buy the dip @BigWhale42 https://t.co/xyz #ToTheMoon
 print(f"messy text   : {messy!r}")
 print(f"cleaned text : {clean(messy)!r}")
 
-# Bucket by calendar day, clean every text, drop same-day duplicates.
-buckets = clean_and_dedup(bucket_by_day(tweets, series))
-
-# Keep each day's top half by follower count: ceil(n/2) tweets per day.
-dataset = build_dataset(buckets, Attribute.FOLLOWERS)
+# Bucket by calendar day and keep each day's top half by follower count,
+# ceil(n/2) tweets per day, ranked on the raw records.
+dataset = build_dataset(bucket_by_day(tweets, series), Attribute.FOLLOWERS)
 print(f"kept {dataset.total_tweets} of {len(tweets)} tweets after follower filtering")
+
+# Clean only the kept texts and drop same-day duplicates: the half the
+# filter dropped is never cleaned.
+buckets = clean_and_dedup(dataset.buckets)
 
 # One number per day: the mean sentiment compound of the surviving tweets.
 lexicon = builtin_lexicon()
-signals = daily_signals(dataset.buckets, lexicon)
+signals = daily_signals(buckets, lexicon)
 print(f"day 0 signal: {signals[0].mean_compound:+.4f} from {signals[0].tweet_count} tweets")
 
 # Chronological 70/30 split. The held-out tail starts on the last training

@@ -51,8 +51,8 @@ print()
 
 # Same corpus, same follower filtering, same signals for all three runs.
 tweets, series = gen_corpus(SynthConfig(days=1000, tweets_per_day=200, rho=0.8, seed=0))
-buckets = clean_and_dedup(bucket_by_day(tweets, series))
-signals = daily_signals(build_dataset(buckets, Attribute.FOLLOWERS).buckets, builtin_lexicon())
+dataset = build_dataset(bucket_by_day(tweets, series), Attribute.FOLLOWERS)
+signals = daily_signals(clean_and_dedup(dataset.buckets), builtin_lexicon())
 train_prices, train_signals, test_prices, test_signals = chronological_split(
     series, signals, 0.7
 )

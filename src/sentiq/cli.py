@@ -6,6 +6,11 @@ dataset), ``sentiment`` (daily signal series), ``train`` / ``predict``
 (Q-model), ``evaluate`` (accuracy report), and ``compare`` (classic vs
 filtered benchmark).
 
+``sentiment``, ``train`` and ``predict`` load and bucket the raw tweets,
+keep each day's top half by the attribute, and only then clean, dedup and
+score the kept tweets, as ``compare`` does; ``split`` cleans and dedups
+first and ranks what survives.
+
 Every value can come from three layers with rising precedence: built-in
 defaults, a ``--config`` file of flat ``key = value`` lines, then explicit
 flags. Unknown config keys are rejected. All outputs go to explicit
@@ -116,8 +121,8 @@ def _lexicon(opts: ChainMap) -> Lexicon:
     return load_lexicon(path) if path else builtin_lexicon()
 
 
-def _load_cleaned(opts: ChainMap):
-    """Load, bucket, clean and dedup the tweets; returns (price series or None, buckets).
+def _load_buckets(opts: ChainMap):
+    """Load and bucket the raw tweets; returns (price series or None, buckets).
 
     With ``prices`` set, tweets outside the series window are dropped and the
     buckets are the series days; without it, each tweet's own UTC day.
@@ -130,24 +135,31 @@ def _load_cleaned(opts: ChainMap):
         window=None if series is None else series.window(),
     )
     if series is not None:
-        buckets = corpus.bucket_by_day(loaded.records, series)
-    else:
-        buckets = corpus.bucket_all_days(loaded.records)
-    return series, preprocess.clean_and_dedup(buckets)
+        return series, corpus.bucket_by_day(loaded.records, series)
+    return series, corpus.bucket_all_days(loaded.records)
 
 
 def _signal_pipeline(opts: ChainMap, attribute: Attribute | None):
-    """The price series and one daily signal per series day."""
-    series, buckets = _load_cleaned(opts)
-    return series, daily_signals(build_dataset(buckets, attribute).buckets, _lexicon(opts))
+    """The price series and one daily signal per series day.
+
+    Each day's raw tweets are ranked by ``attribute`` and only the top half
+    is cleaned, deduplicated and scored, the order ``compare`` uses too. A
+    tweet that cleans to empty or duplicates an earlier one is dropped after
+    the ranking, so it still takes one of the day's kept places.
+    """
+    series, buckets = _load_buckets(opts)
+    kept = build_dataset(buckets, attribute).buckets
+    return series, daily_signals(preprocess.clean_and_dedup(kept), _lexicon(opts))
 
 
 def _write_cleaned(buckets, path: Path, format: str) -> int:
-    records = [
-        dataclasses.replace(t.original, text=t.clean_text)
-        for bucket in buckets
-        for t in bucket.tweets
-    ]
+    records = []
+    for bucket in buckets:
+        for t in bucket.tweets:
+            o = t.original
+            records.append(corpus.TweetRecord(
+                o.id, o.timestamp, t.clean_text, o.followers, o.comments, o.likes, o.retweets
+            ))
     return corpus.write_tweets(records, path, format=format)
 
 
@@ -166,8 +178,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     opts = _options(args)
-    _, cleaned = _load_cleaned(opts)
-    n = _write_cleaned(cleaned, args.out, _format(opts))
+    _, buckets = _load_buckets(opts)
+    n = _write_cleaned(preprocess.clean_and_dedup(buckets), args.out, _format(opts))
     print(f"wrote {n} cleaned tweets to {args.out}")
     return 0
 
@@ -175,8 +187,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     opts = _options(args)
     attribute = _attribute(opts)
-    _, cleaned = _load_cleaned(opts)
-    dataset = build_dataset(cleaned, attribute)
+    # Unlike the signal path, split ranks the cleaned and deduplicated days:
+    # it writes a cleaned corpus, so each day keeps ceil(n/2) of the tweets
+    # that survive cleaning, not of the raw rows.
+    _, buckets = _load_buckets(opts)
+    dataset = build_dataset(preprocess.clean_and_dedup(buckets), attribute)
     n = _write_cleaned(dataset.buckets, args.out, _format(opts))
     meta = {
         "attribute": attribute.value if attribute else "none",

@@ -32,6 +32,7 @@ _WWW_RE = re.compile(r"(?<!\S)www\.\S*")
 _MENTION_RE = re.compile(r"@\w*")
 _DOT_RUN_RE = re.compile(r"\.{2,}")
 _CHAR_RUN_RE = re.compile(r"(.)\1{3,}", re.DOTALL)
+_FOUR_RUN_RE = re.compile(r"(.)\1\1\1", re.DOTALL)
 
 
 def _strip_leading_rt(text: str) -> str:
@@ -48,10 +49,11 @@ def _strip_leading_rt(text: str) -> str:
 def _clean_pass(text: str) -> str:
     """One pass of steps 1-8.
 
-    A substitution runs only when the text holds the literal its pattern
-    needs in order to match (``://``, ``www.``, ``@``, ``..``), so skipping
-    it changes nothing. Steps 7 and 8 are ``" ".join(t.split())``:
-    ``str.split`` splits on the characters ``re`` matches with ``\\s``.
+    A substitution runs only when the text holds what its pattern needs in
+    order to match (``://``, ``www.``, ``@``, ``..``, four of one character
+    in a row), so skipping it changes nothing. Steps 7 and 8 are
+    ``" ".join(t.split())``: ``str.split`` splits on the characters ``re``
+    matches with ``\\s``.
     """
     t = _strip_leading_rt(text.lower())
     if "://" in t:
@@ -63,7 +65,8 @@ def _clean_pass(text: str) -> str:
     t = t.replace("#", "")
     if ".." in t:
         t = _DOT_RUN_RE.sub(" ", t)
-    t = _CHAR_RUN_RE.sub(lambda m: m.group(1) * 3, t)
+    if _FOUR_RUN_RE.search(t):
+        t = _CHAR_RUN_RE.sub(lambda m: m.group(1) * 3, t)
     return " ".join(t.split())
 
 

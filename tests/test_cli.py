@@ -4,6 +4,7 @@ import json
 import pytest
 
 from helpers import run_cli
+from sentiq import bench
 from sentiq.attributes import Attribute, build_dataset
 from sentiq.corpus import bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
@@ -265,9 +266,8 @@ def test_sentiment_writes_daily_signal_csv(cli_corpus):
 
     series = load_prices(prices)
     loaded = load_tweets(tweets, window=series.window())
-    buckets = clean_and_dedup(bucket_by_day(loaded.records, series))
-    dataset = build_dataset(buckets, Attribute.FOLLOWERS)
-    expected = daily_signals(dataset.buckets, builtin_lexicon())
+    dataset = build_dataset(bucket_by_day(loaded.records, series), Attribute.FOLLOWERS)
+    expected = daily_signals(clean_and_dedup(dataset.buckets), builtin_lexicon())
 
     with out.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -278,6 +278,47 @@ def test_sentiment_writes_daily_signal_csv(cli_corpus):
         assert row[0] == signal.date.isoformat()
         assert row[1] == f"{signal.mean_compound:.6f}"
         assert int(row[2]) == signal.tweet_count
+
+
+def test_sentiment_ranks_raw_tweets_before_cleaning(tmp_path):
+    # One day of five tweets; the lowest-follower one cleans to empty. Ranked
+    # raw, the day keeps ceil(5/2) = 3 places and the empty tweet is not
+    # among them. Cleaned first, it would be dropped and the day would keep
+    # ceil(4/2) = 2.
+    texts = [
+        (900, "bullish rally to the moon"),
+        (700, "surge incoming"),
+        (500, "crash fears bearish"),
+        (300, "quiet day"),
+        (100, "@someone http://x.co"),
+    ]
+    rows = ["id,timestamp,text,followers,comments,likes,retweets"]
+    rows += [
+        f"t{i},{1_614_556_800 + 60 * i},{text},{followers},0,0,0"
+        for i, (followers, text) in enumerate(texts)
+    ]
+    (tmp_path / "tweets.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "prices.csv").write_text(
+        "date,price\n2021-03-01,100.0\n2021-03-02,101.0\n", encoding="utf-8"
+    )
+    code, _, err = run_cli(
+        ["sentiment", "--tweets", "tweets.csv", "--prices", "prices.csv",
+         "--attribute", "followers", "--out", "signals.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    with (tmp_path / "signals.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [int(row[2]) for row in rows] == [3, 0]
+
+    # The CLI and ``compare`` define the filtered pipeline the same way.
+    series = load_prices(tmp_path / "prices.csv")
+    records = load_tweets(tmp_path / "tweets.csv", window=series.window()).records
+    for row, bucket in zip(rows, bucket_by_day(records, series), strict=True):
+        signal, _ = bench._ingest_day(bucket, builtin_lexicon(), filtered=True)
+        assert row == [
+            signal.date.isoformat(), f"{signal.mean_compound:.6f}", str(signal.tweet_count)
+        ]
 
 
 # ---------------------------------------------------------------------------

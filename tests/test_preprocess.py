@@ -1,7 +1,7 @@
 import logging
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
@@ -147,6 +147,11 @@ noisy_fragments = st.lists(
                 "aaaaa",
                 "  ",
                 "moooooon",
+                "zzz",
+                "zzzz",
+                "\n\n\n",
+                "\n\n\n\n",
+                "\n\n\n\n\n",
             ]
         ),
     ),
@@ -166,14 +171,28 @@ def test_clean_idempotent_and_safe_on_noisy_fragments(fragments):
     assert_clean_invariants(clean("".join(fragments)))
 
 
+# Runs of 3, 4 and 5 of one character: the character-run step runs only
+# when the text holds a run of four.
 @settings(max_examples=300, deadline=None)
 @given(noise_text)
+@example("goo")
+@example("gooo")
+@example("goooo")
+@example("gooooo")
+@example("x\n\n\ny")
+@example("x\n\n\n\ny")
+@example("x\n\n\n\n\ny")
+@example("🚀🚀🚀🚀🚀 !!!! !!!")
 def test_clean_matches_unguarded_reference_on_random_text(text):
     assert clean(text) == o_clean(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(noisy_fragments)
+@example(["ha", "\n\n\n", "ha"])
+@example(["ha", "\n\n\n\n", "ha"])
+@example(["@x", "ooo", "@y", "o"])
+@example(["www", ".", "RT ", "wwwww.site.org"])
 def test_clean_matches_unguarded_reference_on_noisy_fragments(fragments):
     text = "".join(fragments)
     assert clean(text) == o_clean(text)
