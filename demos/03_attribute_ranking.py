@@ -6,9 +6,11 @@ Per-day top-half filtering can rank tweets by follower count, comment
 count, likes, or retweets — or skip filtering entirely. On a corpus whose
 planted signal rides on the high-follower tweets, follower filtering
 should concentrate the signal while the other attributes select a
-near-random half. This demo measures that two ways: the correlation
-between each filtered signal series and the next day's log return, and
-the held-out accuracy of a model trained on each series.
+near-random half. Each day's raw tweets are ranked first, and only the
+kept half is cleaned, deduplicated and scored, as the CLI does. This demo
+measures that two ways: the correlation between each filtered signal
+series and the next day's log return, and the held-out accuracy of a
+model trained on each series.
 """
 
 import numpy as np
@@ -31,7 +33,7 @@ from sentiq import (
 )
 
 tweets, series = gen_corpus(SynthConfig(days=1000, tweets_per_day=200, rho=0.8, seed=0))
-buckets = clean_and_dedup(bucket_by_day(tweets, series))
+buckets = bucket_by_day(tweets, series)
 lexicon = builtin_lexicon()
 next_day_return = np.diff(np.log(np.asarray(series.prices)))
 
@@ -55,7 +57,8 @@ choices = [
 
 print(f"{'filter':12s} {'signal/return corr':>18s} {'held-out VAF %':>15s}")
 for attribute in choices:
-    signals = daily_signals(build_dataset(buckets, attribute).buckets, lexicon)
+    kept = build_dataset(buckets, attribute).buckets
+    signals = daily_signals(clean_and_dedup(kept), lexicon)
 
     # Does the day's mean compound anticipate the next day's move?
     compound = np.array([s.mean_compound for s in signals])[:-1]

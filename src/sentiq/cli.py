@@ -9,7 +9,7 @@ filtered benchmark).
 ``sentiment``, ``train`` and ``predict`` load and bucket the raw tweets,
 keep each day's top half by the attribute, and only then clean, dedup and
 score the kept tweets, as ``compare`` does; ``split`` cleans and dedups
-first and ranks what survives.
+first and ranks the cleaned rows it writes.
 
 Every value can come from three layers with rising precedence: built-in
 defaults, a ``--config`` file of flat ``key = value`` lines, then explicit
@@ -152,15 +152,18 @@ def _signal_pipeline(opts: ChainMap, attribute: Attribute | None):
     return series, daily_signals(preprocess.clean_and_dedup(kept), _lexicon(opts))
 
 
-def _write_cleaned(buckets, path: Path, format: str) -> int:
-    records = []
-    for bucket in buckets:
+def _cleaned_rows(buckets) -> tuple[corpus.DayBucket, ...]:
+    """Each day cleaned and deduplicated, as records; unchanged tweets keep their raw record."""
+    days = []
+    for bucket in preprocess.clean_and_dedup(buckets):
+        rows = []
         for t in bucket.tweets:
             o = t.original
-            records.append(corpus.TweetRecord(
+            rows.append(o if t.clean_text == o.text else corpus.checked_record(
                 o.id, o.timestamp, t.clean_text, o.followers, o.comments, o.likes, o.retweets
             ))
-    return corpus.write_tweets(records, path, format=format)
+        days.append(corpus.DayBucket(bucket.date, tuple(rows)))
+    return tuple(days)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -179,7 +182,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     opts = _options(args)
     _, buckets = _load_buckets(opts)
-    n = _write_cleaned(preprocess.clean_and_dedup(buckets), args.out, _format(opts))
+    rows = [r for b in _cleaned_rows(buckets) for r in b.tweets]
+    n = corpus.write_tweets(rows, args.out, format=_format(opts))
     print(f"wrote {n} cleaned tweets to {args.out}")
     return 0
 
@@ -187,12 +191,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     opts = _options(args)
     attribute = _attribute(opts)
-    # Unlike the signal path, split ranks the cleaned and deduplicated days:
-    # it writes a cleaned corpus, so each day keeps ceil(n/2) of the tweets
-    # that survive cleaning, not of the raw rows.
+    # Unlike the signal path, split ranks the cleaned rows it writes: each day
+    # keeps ceil(n/2) of the tweets that survive cleaning and dedup.
     _, buckets = _load_buckets(opts)
-    dataset = build_dataset(preprocess.clean_and_dedup(buckets), attribute)
-    n = _write_cleaned(dataset.buckets, args.out, _format(opts))
+    dataset = build_dataset(_cleaned_rows(buckets), attribute)
+    rows = [r for b in dataset.buckets for r in b.tweets]
+    n = corpus.write_tweets(rows, args.out, format=_format(opts))
     meta = {
         "attribute": attribute.value if attribute else "none",
         "source": str(opts.get("tweets")),
@@ -229,7 +233,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         series, signals, reward, cfg, attribute=attribute.value if attribute else None
     )
     qlearn.save_model(model, args.out)
-    if getattr(args, "log", None):
+    if args.log:
         Path(args.log).write_text(
             json.dumps(
                 {"mean_rewards": list(log.mean_rewards), "epsilons": list(log.epsilons)},
@@ -304,7 +308,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     report = evaluate([actual[d] for d in shared], [predicted[d] for d in shared])
     print(report.format_table())
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
         print(f"wrote report to {args.out}")
     return 0
@@ -335,7 +339,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"wall={result.wall_seconds:.2f}s episodes={result.episodes_run} "
             f"vaf={result.final_vaf:.2f}{flag}"
         )
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
         print(f"wrote report to {args.out}")
     return 0

@@ -154,10 +154,10 @@ class PriceSeries:
 class DayBucket:
     """The tweets of one UTC calendar day.
 
-    ``tweets`` holds raw records in (timestamp, id) order after
-    :func:`bucket_by_day`, and cleaned records in the same order after
-    preprocessing. :func:`sentiq.attributes.rank_and_halve` returns its kept
-    tweets in rank order instead: attribute descending, then timestamp, then id.
+    ``tweets`` holds raw :class:`TweetRecord` objects after :func:`bucket_by_day`
+    (in (timestamp, id) order) and after attribute filtering (in rank order:
+    attribute descending, then timestamp, then id), and ``CleanTweet`` objects
+    after :func:`sentiq.preprocess.clean_buckets`.
     """
 
     date: dt.date
@@ -171,6 +171,26 @@ class TweetLoadResult:
     records: tuple[TweetRecord, ...]
     dropped_out_of_window: int
     total_rows: int
+
+
+def checked_record(
+    id: str, timestamp: int, text: str, followers: int, comments: int, likes: int, retweets: int
+) -> TweetRecord:
+    """A :class:`TweetRecord` from values that already pass its ``__post_init__`` checks.
+
+    Sets the fields one by one as the dataclass ``__init__`` does, which keeps
+    the instance's compact attribute storage, and skips the checks.
+    """
+    record = object.__new__(TweetRecord)
+    set_field = object.__setattr__
+    set_field(record, "id", id)
+    set_field(record, "timestamp", timestamp)
+    set_field(record, "text", text)
+    set_field(record, "followers", followers)
+    set_field(record, "comments", comments)
+    set_field(record, "likes", likes)
+    set_field(record, "retweets", retweets)
+    return record
 
 
 def _int_field(name: str, value) -> int:
@@ -209,19 +229,7 @@ def _build_record(fields: Sequence) -> TweetRecord:
         raise CorpusError(
             f"field 'timestamp': {timestamp} is outside the UTC days of years 1 to 9999"
         )
-    # Every check of TweetRecord.__post_init__ has passed above, so set the
-    # fields one by one as the dataclass __init__ does (which keeps the
-    # instance's compact attribute storage) and skip the second round.
-    record = object.__new__(TweetRecord)
-    set_field = object.__setattr__
-    set_field(record, "id", tweet_id)
-    set_field(record, "timestamp", timestamp)
-    set_field(record, "text", text)
-    set_field(record, "followers", followers)
-    set_field(record, "comments", comments)
-    set_field(record, "likes", likes)
-    set_field(record, "retweets", retweets)
-    return record
+    return checked_record(tweet_id, timestamp, text, followers, comments, likes, retweets)
 
 
 def _iter_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:

@@ -127,8 +127,8 @@ class State(NamedTuple):
     sentiment_bin: int
 
 
-def discretize_state(prev_price: float, prev_signal: DailySignal | float, cfg: AgentConfig) -> State:
-    """Map the previous day's price and signal onto the discrete grid."""
+def discretize_state(prev_price: float, prev_compound: float, cfg: AgentConfig) -> State:
+    """Map the previous day's price and mean compound onto the discrete grid."""
     if not 0.0 <= prev_price < cfg.price_max:
         raise QLearnError(
             f"price {prev_price} outside the representable range [0, {cfg.price_max})"
@@ -136,8 +136,7 @@ def discretize_state(prev_price: float, prev_signal: DailySignal | float, cfg: A
     price_bin = int(prev_price // cfg.price_bucket_width)
     if cfg.state_mode == "price-only":
         return State(price_bin, 0)
-    compound = getattr(prev_signal, "mean_compound", prev_signal)
-    raw = int(np.floor((compound + 1.0) / 2.0 * cfg.sentiment_bins))
+    raw = int(np.floor((prev_compound + 1.0) / 2.0 * cfg.sentiment_bins))
     sentiment_bin = min(max(raw, 0), cfg.sentiment_bins - 1)
     return State(price_bin, sentiment_bin)
 
@@ -330,7 +329,7 @@ def training_days(
     """
     index: dict[State, int] = {}
     rows = tuple(
-        index.setdefault(discretize_state(point.price, signal, cfg), len(index))
+        index.setdefault(discretize_state(point.price, signal.mean_compound, cfg), len(index))
         for point, signal in zip(prices, signals)
     )
     return TrainingDays(prices.prices, tuple(index), rows, tuple({} for _ in rows))

@@ -57,14 +57,9 @@ def make_signals(series: PriceSeries, compounds) -> tuple[DailySignal, ...]:
 
 
 def attribute_signal_series(tweets, series, lexicon, attribute: Attribute | None):
-    """Bucket, clean+dedup, filter, daily signals: one cleaned corpus, any attribute.
-
-    The CLI ranks the raw tweets before cleaning instead; the kept sets
-    differ only on days where a dropped empty or duplicate tweet falls in the
-    top half.
-    """
-    buckets = clean_and_dedup(bucket_by_day(tweets, series))
-    return daily_signals(build_dataset(buckets, attribute).buckets, lexicon)
+    """Bucket, keep each day's top half of the raw tweets, clean+dedup, daily signals."""
+    kept = build_dataset(bucket_by_day(tweets, series), attribute).buckets
+    return daily_signals(clean_and_dedup(kept), lexicon)
 
 
 def signal_return_correlation(tweets, series, lexicon, attribute: Attribute | None) -> float:

@@ -285,11 +285,13 @@ def test_acceptance_05_planted_signal_recovery(capsys, lexicon, planted_corpora)
     per_seed = []
     for seed in range(10):
         tweets, series = planted_corpora(seed)
-        cleaned = clean_and_dedup(bucket_by_day(tweets, series))
+        buckets = bucket_by_day(tweets, series)
         cfg = planted_agent(seed)
         scores = {}
         for attribute in ATTRIBUTES:
-            signals = daily_signals(build_dataset(cleaned, attribute).buckets, lexicon)
+            # Rank the raw tweets, then clean, dedup and score the kept half.
+            kept = build_dataset(buckets, attribute).buckets
+            signals = daily_signals(clean_and_dedup(kept), lexicon)
             if seed == 0 and attribute is Attribute.FOLLOWERS:
                 # Sanity: the planted follower signal is strong but not perfect.
                 compounds = np.array([s.mean_compound for s in signals])[:-1]

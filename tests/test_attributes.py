@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 from helpers import D0, T0, make_tweet
 from sentiq.attributes import Attribute, build_dataset, rank_and_halve
 from sentiq.corpus import DayBucket
-from sentiq.preprocess import CleanTweet
 
 ALL_ATTRIBUTES = (Attribute.FOLLOWERS, Attribute.COMMENTS, Attribute.LIKES, Attribute.RETWEETS)
 
 
 def followers_bucket(counts, date=D0):
     tweets = tuple(
-        CleanTweet(make_tweet(f"t{i:03d}", T0 + i, f"text {i}", followers=c), f"text {i}")
-        for i, c in enumerate(counts)
+        make_tweet(f"t{i:03d}", T0 + i, f"text {i}", followers=c) for i, c in enumerate(counts)
     )
     return DayBucket(date, tweets)
 
 
 def kept_followers(bucket):
-    return [t.original.followers for t in bucket.tweets]
+    return [t.followers for t in bucket.tweets]
 
 
 # ---------------------------------------------------------------------------
@@ -54,43 +52,30 @@ def test_empty_bucket_stays_empty():
 
 def test_ties_resolve_by_timestamp_then_id():
     tweets = (
-        CleanTweet(make_tweet("b", T0 + 9, "x", followers=7), "x"),
-        CleanTweet(make_tweet("a", T0 + 9, "y", followers=7), "y"),
-        CleanTweet(make_tweet("c", T0 + 1, "z", followers=7), "z"),
-        CleanTweet(make_tweet("d", T0 + 30, "w", followers=7), "w"),
+        make_tweet("b", T0 + 9, "x", followers=7),
+        make_tweet("a", T0 + 9, "y", followers=7),
+        make_tweet("c", T0 + 1, "z", followers=7),
+        make_tweet("d", T0 + 30, "w", followers=7),
     )
     out = rank_and_halve(DayBucket(D0, tweets), Attribute.FOLLOWERS)
-    assert [t.original.id for t in out.tweets] == ["c", "a"]
+    assert [t.id for t in out.tweets] == ["c", "a"]
 
 
 def test_each_attribute_ranks_its_own_field():
     tweets = tuple(
-        CleanTweet(
-            make_tweet(
-                f"t{i}", T0 + i, f"x{i}",
-                followers=[9, 1, 1, 1][i],
-                comments=[1, 9, 1, 1][i],
-                likes=[1, 1, 9, 1][i],
-                retweets=[1, 1, 1, 9][i],
-            ),
-            f"x{i}",
+        make_tweet(
+            f"t{i}", T0 + i, f"x{i}",
+            followers=[9, 1, 1, 1][i],
+            comments=[1, 9, 1, 1][i],
+            likes=[1, 1, 9, 1][i],
+            retweets=[1, 1, 1, 9][i],
         )
         for i in range(4)
     )
     bucket = DayBucket(D0, tweets)
     for i, attribute in enumerate(ALL_ATTRIBUTES):
         out = rank_and_halve(bucket, attribute)
-        assert out.tweets[0].original.id == f"t{i}"
-
-
-def test_ranks_raw_records_like_cleaned_ones():
-    # compare's filter-first path ranks raw TweetRecords, before cleaning.
-    raw = tuple(make_tweet(f"r{i}", T0 + i, f"x{i}", likes=n) for i, n in enumerate([3, 12, 7, 1]))
-    cleaned = tuple(CleanTweet(t, t.text) for t in raw)
-    kept_raw = rank_and_halve(DayBucket(D0, raw), Attribute.LIKES).tweets
-    kept_clean = rank_and_halve(DayBucket(D0, cleaned), Attribute.LIKES).tweets
-    assert [t.id for t in kept_raw] == ["r1", "r2"]
-    assert kept_raw == tuple(t.original for t in kept_clean)
+        assert out.tweets[0].id == f"t{i}"
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +92,6 @@ def two_day_buckets(sizes):
 def test_build_dataset_all_empty():
     buckets = (DayBucket(D0, ()), DayBucket(D0 + dt.timedelta(days=1), ()))
     out = build_dataset(buckets, Attribute.FOLLOWERS)
-    assert out.attribute is Attribute.FOLLOWERS
     assert all(b.tweets == () for b in out.buckets)
     assert out.total_tweets == 0
 
@@ -121,7 +105,6 @@ def test_build_dataset_halves_each_day():
 def test_build_dataset_none_keeps_everything():
     buckets = two_day_buckets([4, 6])
     out = build_dataset(buckets, None)
-    assert out.attribute is None
     assert out.buckets == buckets
     assert out.total_tweets == 10
 
@@ -157,7 +140,7 @@ def test_kept_values_dominate_dropped(counts):
     # Within the kept bucket the attribute is non-increasing.
     assert all(a >= b for a, b in zip(kept, kept[1:]))
     # The kept multiset weakly dominates the dropped one.
-    kept_ids = {t.original.id for t in out.tweets}
-    dropped = [t.original.followers for t in bucket.tweets if t.original.id not in kept_ids]
+    kept_ids = {t.id for t in out.tweets}
+    dropped = [t.followers for t in bucket.tweets if t.id not in kept_ids]
     if dropped:
         assert min(kept) >= max(dropped)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import run_cli
+from helpers import attribute_signal_series, run_cli
 from sentiq import bench
 from sentiq.attributes import Attribute, build_dataset
 from sentiq.corpus import bucket_by_day, load_prices, load_tweets
@@ -220,10 +220,11 @@ def test_split_writes_sidecar_metadata(cli_corpus):
 
     series = load_prices(prices)
     loaded = load_tweets(tweets, window=series.window())
+    # split keeps ceil(n/2) of each day's cleaned and deduplicated tweets.
     buckets = clean_and_dedup(bucket_by_day(loaded.records, series))
-    dataset = build_dataset(buckets, Attribute.FOLLOWERS)
-    assert meta["tweets"] == dataset.total_tweets
-    assert len(load_tweets(out).records) == dataset.total_tweets
+    kept = sum((len(b.tweets) + 1) // 2 for b in buckets)
+    assert meta["tweets"] == kept
+    assert len(load_tweets(out).records) == kept
 
 
 def test_split_writes_each_day_in_rank_order(tmp_path):
@@ -311,14 +312,15 @@ def test_sentiment_ranks_raw_tweets_before_cleaning(tmp_path):
         rows = list(csv.reader(handle))[1:]
     assert [int(row[2]) for row in rows] == [3, 0]
 
-    # The CLI and ``compare`` define the filtered pipeline the same way.
+    # The CLI, ``compare`` and the library order the tests use define the
+    # filtered pipeline the same way.
     series = load_prices(tmp_path / "prices.csv")
     records = load_tweets(tmp_path / "tweets.csv", window=series.window()).records
-    for row, bucket in zip(rows, bucket_by_day(records, series), strict=True):
-        signal, _ = bench._ingest_day(bucket, builtin_lexicon(), filtered=True)
-        assert row == [
-            signal.date.isoformat(), f"{signal.mean_compound:.6f}", str(signal.tweet_count)
-        ]
+    library = attribute_signal_series(records, series, builtin_lexicon(), Attribute.FOLLOWERS)
+    for row, bucket, signal in zip(rows, bucket_by_day(records, series), library, strict=True):
+        ingested, _ = bench._ingest_day(bucket, builtin_lexicon(), filtered=True)
+        for s in (ingested, signal):
+            assert row == [s.date.isoformat(), f"{s.mean_compound:.6f}", str(s.tweet_count)]
 
 
 # ---------------------------------------------------------------------------

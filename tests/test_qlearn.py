@@ -122,16 +122,6 @@ def test_discretize_sentiment_bins():
     assert discretize_state(100.0, 0.999, cfg).sentiment_bin == 20
 
 
-def test_discretize_accepts_daily_signal_objects():
-    from helpers import D0
-    from sentiq.sentiment import DailySignal
-
-    cfg = AgentConfig()
-    by_value = discretize_state(750.0, 0.4, cfg)
-    by_signal = discretize_state(750.0, DailySignal(D0, 0.4, 3), cfg)
-    assert by_value == by_signal
-
-
 def test_discretize_rejects_out_of_range_price():
     cfg = AgentConfig(price_max=100_000.0)
     with pytest.raises(QLearnError, match="outside the representable range"):
@@ -496,7 +486,7 @@ def reference_episode(model, prices, states, kind, epsilon, rng):
 def reference_train(series, signals, kind, cfg):
     model = QModel.zeros(cfg, reward=kind)
     rng = np.random.default_rng(cfg.seed)
-    states = [discretize_state(p.price, s, cfg) for p, s in zip(series, signals)]
+    states = [discretize_state(p.price, s.mean_compound, cfg) for p, s in zip(series, signals)]
     epsilons = tuple(epsilon_at(cfg, e) for e in range(cfg.episodes))
     means = tuple(
         reference_episode(model, series.prices, states, kind, epsilon, rng) for epsilon in epsilons
@@ -553,7 +543,7 @@ def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
     planted = np.random.default_rng(3).integers(-3, 1, size=(2, 3, 9)).astype(float)
     model, want = QModel(cfg, planted.copy()), QModel(cfg, planted.copy())
     days = training_days(series, signals, cfg)
-    states = [discretize_state(p.price, s, cfg) for p, s in zip(series, signals)]
+    states = [discretize_state(p.price, s.mean_compound, cfg) for p, s in zip(series, signals)]
     rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
     for episode in range(cfg.episodes):
         epsilon = epsilon_at(cfg, episode)
@@ -608,7 +598,7 @@ def test_train_constant_series_learns_zero_percent():
         action_min=-3, action_max=3, episodes=120, epsilon_end=0.0, seed=3
     )
     model, log = train(series, signals, SDR, cfg)
-    visited = discretize_state(250.0, signals[0], cfg)
+    visited = discretize_state(250.0, signals[0].mean_compound, cfg)
     assert model.greedy_action(visited) == 0
     # The final episode is fully greedy and a flat policy is error-free.
     assert log.mean_rewards[-1] == 0.0

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import signal_return_correlation
 from sentiq.attributes import Attribute
-from sentiq.corpus import round_price
+from sentiq.corpus import TweetRecord, round_price
 from sentiq.preprocess import clean
 from sentiq.synth import SynthConfig, SynthError, gen_corpus
 
@@ -67,6 +67,17 @@ def test_generation_is_deterministic():
     assert first == second
     other = gen_corpus(SynthConfig(days=6, tweets_per_day=5, rho=0.7, seed=10))
     assert other != first
+
+
+def test_records_pass_the_validating_constructor():
+    # gen_corpus builds its records without running TweetRecord's checks.
+    for tweets_per_day in (1, 5, 6):
+        for seed in (0, 7, 2**64 - 1):
+            cfg = SynthConfig(days=4, tweets_per_day=tweets_per_day, rho=0.8, seed=seed)
+            tweets, _ = gen_corpus(cfg)
+            assert tweets
+            for record in tweets:
+                assert record == TweetRecord(**vars(record))
 
 
 def test_texts_are_already_normal_form(small_corpus):
