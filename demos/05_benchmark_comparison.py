@@ -36,7 +36,6 @@ config = BenchConfig(
     reward=CDR,
     train_frac=0.7,
     timeout_seconds=20.0,
-    profile_interval=0.25,
 )
 
 # Race both approaches to 95% VAF on the held-out tail. An approach stops

@@ -1,7 +1,8 @@
 """Classic-vs-filtered pipeline comparison under a resource profiler.
 
 Two end-to-end pipelines are compared on the same corpus, sequentially,
-each inside its own profiling session:
+each inside its own profiling session sampling every
+:data:`PROFILE_INTERVAL` seconds:
 
 * **classic** — clean, dedup, and score every tweet of every day;
 * **proposed** — rank each day's raw bucket by followers first (integer
@@ -11,16 +12,16 @@ each inside its own profiling session:
 the proposed pipeline does roughly half the text work per day by
 construction.
 
-Two modes:
+Two modes share one run loop:
 
 * :func:`run_fixed_time` gives each pipeline the same wall-clock budget,
   spent first on per-day ingestion and then on training episodes until the
   configured schedule completes; the budget is checked at day and episode
   boundaries against an injectable monotonic clock (inject a fake clock to
   make runs bit-reproducible).
-* :func:`run_to_target` trains until the held-out accuracy reaches a target
-  (checked before every episode, so an already-good initial model returns
-  immediately) or the timeout lapses, which flags the result unconverged.
+* :func:`run_to_target` trains from an all-zero table until the held-out
+  accuracy reaches a target (checked before every episode, so one already
+  met returns after 0 episodes) or the timeout lapses, flagging it unconverged.
 
 Accuracy is variance-accounted-for on a chronological held-out tail.
 """
@@ -54,19 +55,21 @@ from .qlearn import (
 from .sentiment import DailySignal, Lexicon, daily_signal
 
 
+PROFILE_INTERVAL = 0.25  # seconds between resource samples
+
+
 class BenchError(SentiqError):
     """Invalid benchmark configuration or corpus too small to compare."""
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Comparison knobs: agent settings plus split/timeout/profiling."""
+    """Comparison knobs: agent settings plus split and timeout."""
 
     agent: AgentConfig = AgentConfig()
     reward: str = CDR
     train_frac: float = 0.7
     timeout_seconds: float = 600.0
-    profile_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.reward not in REWARD_KINDS:
@@ -75,8 +78,6 @@ class BenchConfig:
             raise BenchError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if not self.timeout_seconds > 0:
             raise BenchError(f"timeout_seconds must be positive, got {self.timeout_seconds}")
-        if not self.profile_interval > 0:
-            raise BenchError(f"profile_interval must be positive, got {self.profile_interval}")
 
 
 def split_point(n_days: int, train_frac: float) -> int:
@@ -117,7 +118,6 @@ class ApproachResult:
     converged: bool | None
     predictions: tuple[float, ...]
     test_prices: tuple[float, ...]
-    test_dates: tuple[str, ...]
     resources: profiler.ResourceReport
 
     def to_dict(self) -> dict:
@@ -162,12 +162,13 @@ def _ingest_day(bucket: DayBucket, lexicon: Lexicon, filtered: bool) -> tuple[Da
     return daily_signal(deduped, lexicon), utilized
 
 
-def _held_out_vaf(model: QModel, test_series: PriceSeries, test_signals) -> float:
+def _held_out(model: QModel, test_series: PriceSeries, test_signals) -> tuple[tuple, float]:
+    """Predictions for the held-out tail and their VAF (NaN when VAF is undefined)."""
     predictions = predict_series(model, test_series, test_signals)
     try:
-        return vaf(test_series.prices[1:], predictions)
+        return predictions, vaf(test_series.prices[1:], predictions)
     except MetricError:
-        return float("-inf")
+        return predictions, float("nan")
 
 
 def _run_approach(
@@ -176,15 +177,13 @@ def _run_approach(
     series: PriceSeries,
     lexicon: Lexicon,
     cfg: BenchConfig,
-    mode: str,
-    budget_seconds: float | None,
+    seconds: float,
     target_vaf: float | None,
-    initial_model: QModel | None,
     clock: Callable[[], float],
 ) -> ApproachResult:
-    session = profiler.start(cfg.profile_interval)
+    session = profiler.start(PROFILE_INTERVAL)
     t0 = clock()
-    deadline = t0 + (budget_seconds if mode == "fixed_time" else cfg.timeout_seconds)
+    deadline = t0 + seconds
 
     signals: list[DailySignal] = []
     utilized = 0
@@ -194,72 +193,64 @@ def _run_approach(
         signal, n = _ingest_day(bucket, lexicon, filtered=(approach == "proposed"))
         signals.append(signal)
         utilized += n
-    ingested = series.slice(0, len(signals))
 
     agent = cfg.agent
-    if initial_model is not None:
-        # Copy: training mutates the table and both approaches may share one start.
-        model = QModel(
-            initial_model.config,
-            initial_model.table.copy(),
-            initial_model.reward,
-            initial_model.attribute,
-        )
-        agent = model.config
-    else:
-        model = QModel.zeros(
-            agent,
-            reward=cfg.reward,
-            attribute=Attribute.FOLLOWERS.value if approach == "proposed" else None,
-        )
+    model = QModel.zeros(
+        agent,
+        reward=cfg.reward,
+        attribute=Attribute.FOLLOWERS.value if approach == "proposed" else None,
+    )
     episodes_run = 0
     converged: bool | None = None
     predictions: tuple[float, ...] = ()
     test_prices: tuple[float, ...] = ()
-    test_dates: tuple[str, ...] = ()
     final = float("nan")
 
-    if len(ingested) >= 5:
+    if len(signals) >= 5:
         train_series, train_signals, test_series, test_signals = chronological_split(
-            ingested, signals, cfg.train_frac
+            series.slice(0, len(signals)), signals, cfg.train_frac
         )
         days = training_days(train_series, train_signals, agent)
         rng = np.random.default_rng(agent.seed)
-        if mode == "to_target":
-            converged = False
         while True:
-            if mode == "fixed_time":
-                if clock() >= deadline or episodes_run >= agent.episodes:
+            if target_vaf is not None:
+                converged = _held_out(model, test_series, test_signals)[1] >= target_vaf
+                if converged:
                     break
-            else:
-                if _held_out_vaf(model, test_series, test_signals) >= target_vaf:
-                    converged = True
-                    break
-                if clock() >= deadline:
-                    break
+            if clock() >= deadline or (target_vaf is None and episodes_run >= agent.episodes):
+                break
             run_episode(model, days, cfg.reward, epsilon_at(agent, episodes_run), rng)
             episodes_run += 1
-        predictions = predict_series(model, test_series, test_signals)
+        predictions, final = _held_out(model, test_series, test_signals)
         test_prices = test_series.prices[1:]
-        test_dates = tuple(d.isoformat() for d in test_series.dates[1:])
-        try:
-            final = vaf(test_prices, predictions)
-        except MetricError:
-            final = float("nan")
 
-    wall = clock() - t0
     return ApproachResult(
         approach=approach,
         tweets_utilized=utilized,
-        wall_seconds=wall,
+        wall_seconds=clock() - t0,
         episodes_run=episodes_run,
         final_vaf=final,
         converged=converged,
         predictions=predictions,
         test_prices=test_prices,
-        test_dates=test_dates,
         resources=profiler.stop(session),
     )
+
+
+def _compare(
+    records: Sequence[TweetRecord],
+    series: PriceSeries,
+    lexicon: Lexicon,
+    cfg: BenchConfig,
+    seconds: float,
+    target_vaf: float | None,
+    clock: Callable[[], float],
+) -> ComparisonReport:
+    classic = _run_approach("classic", records, series, lexicon, cfg, seconds, target_vaf, clock)
+    proposed = _run_approach("proposed", records, series, lexicon, cfg, seconds, target_vaf, clock)
+    if target_vaf is None:
+        return ComparisonReport("fixed_time", seconds, None, classic, proposed)
+    return ComparisonReport("to_target", None, target_vaf, classic, proposed)
 
 
 def run_fixed_time(
@@ -274,13 +265,7 @@ def run_fixed_time(
     """Give both pipelines the same wall-clock budget and report both."""
     if not budget_seconds > 0:
         raise BenchError(f"budget_seconds must be positive, got {budget_seconds}")
-    classic = _run_approach(
-        "classic", records, series, lexicon, cfg, "fixed_time", budget_seconds, None, None, clock
-    )
-    proposed = _run_approach(
-        "proposed", records, series, lexicon, cfg, "fixed_time", budget_seconds, None, None, clock
-    )
-    return ComparisonReport("fixed_time", budget_seconds, None, classic, proposed)
+    return _compare(records, series, lexicon, cfg, budget_seconds, None, clock)
 
 
 def run_to_target(
@@ -290,19 +275,13 @@ def run_to_target(
     target_vaf: float,
     cfg: BenchConfig = BenchConfig(),
     *,
-    initial_model: QModel | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> ComparisonReport:
     """Train both pipelines until held-out accuracy reaches ``target_vaf``.
 
-    Results hitting ``cfg.timeout_seconds`` first are flagged unconverged.
+    Results hitting ``cfg.timeout_seconds`` first are flagged unconverged;
+    ``cfg.agent.episodes`` sets the epsilon schedule, not an episode cap.
     """
     if not math.isfinite(target_vaf):
         raise BenchError(f"target_vaf must be finite, got {target_vaf}")
-    classic = _run_approach(
-        "classic", records, series, lexicon, cfg, "to_target", None, target_vaf, initial_model, clock
-    )
-    proposed = _run_approach(
-        "proposed", records, series, lexicon, cfg, "to_target", None, target_vaf, initial_model, clock
-    )
-    return ComparisonReport("to_target", None, target_vaf, classic, proposed)
+    return _compare(records, series, lexicon, cfg, cfg.timeout_seconds, target_vaf, clock)

@@ -47,7 +47,7 @@ _INT_KEYS = {
 _FLOAT_KEYS = {
     "gamma", "theta", "epsilon_start", "epsilon_end", "price_bucket_width",
     "price_max", "rho", "base_price", "daily_vol", "train_frac", "budget",
-    "target_vaf", "timeout", "profile_interval",
+    "target_vaf", "timeout",
 }
 _STR_KEYS = {
     "state", "reward", "attribute", "format", "tweets", "prices", "lexicon",
@@ -269,32 +269,21 @@ def _load_series_file(path: str | Path) -> dict[dt.date, float]:
     """date,price CSV as a mapping; prices must be finite, no contiguity/positivity constraints."""
     out: dict[dt.date, float] = {}
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != ("date", "price"):
-            raise CorpusError(f"{path}: expected header date,price")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CorpusError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-            where = f"{path}:{reader.line_num}"
-            try:
-                date = dt.date.fromisoformat(row[0])
-            except ValueError:
-                raise CorpusError(f"{where}: field 'date': not an ISO date: {row[0]!r}") from None
-            try:
-                value = float(row[1])
-                if not math.isfinite(value):
-                    raise ValueError
-            except ValueError:
-                raise CorpusError(
-                    f"{where}: field 'price': not a finite number: {row[1]!r}"
-                ) from None
-            if date in out:
-                raise CorpusError(f"{where}: duplicate date {date}")
-            out[date] = value
+    for line, (day, price) in corpus.csv_rows(path, ("date", "price")):
+        where = f"{path}:{line}"
+        try:
+            date = dt.date.fromisoformat(day)
+        except ValueError:
+            raise CorpusError(f"{where}: field 'date': not an ISO date: {day!r}") from None
+        try:
+            value = float(price)
+            if not math.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise CorpusError(f"{where}: field 'price': not a finite number: {price!r}") from None
+        if date in out:
+            raise CorpusError(f"{where}: duplicate date {date}")
+        out[date] = value
     return out
 
 

@@ -83,6 +83,8 @@ class TweetRecord:
             raise CorpusError("tweet id must be non-empty")
         if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
             raise CorpusError(f"tweet {self.id}: timestamp must be an integer")
+        if not _MIN_TIMESTAMP <= self.timestamp <= _MAX_TIMESTAMP:
+            raise CorpusError(f"tweet {self.id}: timestamp outside years 1 to 9999")
         if not self.text.strip():
             raise CorpusError(f"tweet {self.id}: text is empty")
         for name in _COUNT_FIELDS:
@@ -232,23 +234,22 @@ def _build_record(fields: Sequence) -> TweetRecord:
     return checked_record(tweet_id, timestamp, text, followers, comments, likes, retweets)
 
 
-def _iter_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+def csv_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each non-blank row of a CSV file with ``header``."""
+    expected = ",".join(header)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: empty file, expected header {','.join(TWEET_FIELDS)}")
-        if tuple(header) != TWEET_FIELDS:
-            raise CorpusError(
-                f"{path}:1: bad header {','.join(header)!r}, expected {','.join(TWEET_FIELDS)}"
-            )
+        got = next(reader, None)
+        if got is None:
+            raise CorpusError(f"{path}: empty file, expected header {expected}")
+        if tuple(got) != header:
+            raise CorpusError(f"{path}:1: bad header {','.join(got)!r}, expected header {expected}")
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(TWEET_FIELDS):
+            if len(row) != len(header):
                 raise CorpusError(
-                    f"{path}:{reader.line_num}: expected {len(TWEET_FIELDS)} fields, got {len(row)}"
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             yield reader.line_num, row
 
@@ -286,7 +287,7 @@ def load_tweets(
     """
     path = Path(path)
     if format == "csv":
-        rows = _iter_csv_rows(path)
+        rows = csv_rows(path, TWEET_FIELDS)
     elif format == "jsonl":
         rows = _iter_jsonl_rows(path)
     else:
@@ -346,35 +347,19 @@ def load_prices(path: str | Path) -> PriceSeries:
     """Load a daily price CSV (``date,price``), rounding prices on ingest."""
     path = Path(path)
     points: list[PricePoint] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    for line, (day, price) in csv_rows(path, ("date", "price")):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: empty file, expected header date,price")
-        if tuple(header) != ("date", "price"):
-            raise CorpusError(f"{path}:1: bad header {','.join(header)!r}, expected date,price")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CorpusError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[0])
-            except ValueError:
-                raise CorpusError(
-                    f"{path}:{reader.line_num}: field 'date': not an ISO date: {row[0]!r}"
-                )
-            try:
-                price = round_price(row[1])
-            except CorpusError:
-                raise CorpusError(
-                    f"{path}:{reader.line_num}: field 'price': not a number: {row[1]!r}"
-                )
-            try:
-                points.append(PricePoint(date, price))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+            date = dt.date.fromisoformat(day)
+        except ValueError:
+            raise CorpusError(f"{path}:{line}: field 'date': not an ISO date: {day!r}") from None
+        try:
+            value = round_price(price)
+        except CorpusError:
+            raise CorpusError(f"{path}:{line}: field 'price': not a number: {price!r}") from None
+        try:
+            points.append(PricePoint(date, value))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{line}: {exc}") from None
     try:
         return PriceSeries(tuple(points))
     except CorpusError as exc:

@@ -355,7 +355,6 @@ def test_acceptance_06_resource_comparison(capsys, lexicon, planted_corpora):
             reward=CDR,
             train_frac=0.7,
             timeout_seconds=20.0,
-            profile_interval=0.25,
         )
         report = run_to_target(tweets, series, lexicon, 95.0, cfg)
         classic, proposed = report.classic, report.proposed

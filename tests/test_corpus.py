@@ -72,6 +72,18 @@ def test_tweet_record_rejects_non_integer_fields():
         TweetRecord("t1", T0, "x", 0, 0, 0, True)
 
 
+def test_tweet_record_rejects_timestamps_outside_date_range():
+    first = int(dt.datetime(1, 1, 1, tzinfo=dt.timezone.utc).timestamp())
+    last = int(dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc).timestamp())
+    assert [make_tweet("t1", timestamp=ts).day() for ts in (first, last)] == [
+        dt.date.min,
+        dt.date.max,
+    ]
+    for ts in (first - 1, last + 1):
+        with pytest.raises(CorpusError, match="t1: timestamp outside years 1 to 9999"):
+            make_tweet("t1", timestamp=ts)
+
+
 def test_price_point_must_be_positive():
     with pytest.raises(CorpusError):
         PricePoint(D0, 0.0)
