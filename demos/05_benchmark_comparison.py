@@ -17,8 +17,8 @@ from sentiq import (
     BenchConfig,
     SynthConfig,
     builtin_lexicon,
+    compare,
     gen_corpus,
-    run_to_target,
 )
 
 tweets, series = gen_corpus(SynthConfig(days=1000, tweets_per_day=200, rho=0.8, seed=1))
@@ -35,14 +35,15 @@ config = BenchConfig(
     ),
     reward=CDR,
     train_frac=0.7,
-    timeout_seconds=20.0,
+    seconds=20.0,
+    target_vaf=95.0,
 )
 
 # Race both approaches to 95% VAF on the held-out tail. An approach stops
 # as soon as its model clears the target (checked before each episode) or
-# when the timeout runs out.
+# when its 20 seconds run out.
 print(f"racing both approaches to VAF >= 95% on {len(tweets)} tweets...")
-report = run_to_target(tweets, series, builtin_lexicon(), 95.0, config)
+report = compare(tweets, series, builtin_lexicon(), config)
 
 print()
 print(f"{'':18s}{'classic':>14s}{'proposed':>14s}")

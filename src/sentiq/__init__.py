@@ -14,7 +14,7 @@ from its own module (``from sentiq.corpus import load_tweets``).
 """
 
 from .attributes import Attribute, build_dataset
-from .bench import BenchConfig, chronological_split, run_to_target
+from .bench import BenchConfig, chronological_split, compare
 from .corpus import bucket_by_day
 from .metrics import evaluate, vaf
 from .preprocess import clean, clean_and_dedup
@@ -36,9 +36,8 @@ from .synth import SynthConfig, gen_corpus
 __all__ = [
     "AgentConfig", "Attribute", "BenchConfig", "CDR", "RDR", "SDR", "SynthConfig",
     "bucket_by_day", "build_dataset", "builtin_lexicon", "chronological_split", "clean",
-    "clean_and_dedup", "daily_signals", "evaluate", "gen_corpus", "predict_series",
-    "reward_cdr", "reward_rdr", "reward_sdr", "run_to_target", "train", "vaf",
-    "zero_reward_points",
+    "clean_and_dedup", "compare", "daily_signals", "evaluate", "gen_corpus", "predict_series",
+    "reward_cdr", "reward_rdr", "reward_sdr", "train", "vaf", "zero_reward_points",
 ]
 
 __version__ = "0.1.0"

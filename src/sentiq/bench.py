@@ -12,16 +12,16 @@ each inside its own profiling session sampling every
 the proposed pipeline does roughly half the text work per day by
 construction.
 
-Two modes share one run loop:
+One call, :func:`compare`, runs the race that a :class:`BenchConfig`
+describes. Each pipeline gets ``seconds`` of wall clock, checked at day and
+episode boundaries against an injectable monotonic clock (inject a fake
+clock to make runs bit-reproducible), and spends it first on per-day
+ingestion and then on training episodes from an all-zero table:
 
-* :func:`run_fixed_time` gives each pipeline the same wall-clock budget,
-  spent first on per-day ingestion and then on training episodes until the
-  configured schedule completes; the budget is checked at day and episode
-  boundaries against an injectable monotonic clock (inject a fake clock to
-  make runs bit-reproducible).
-* :func:`run_to_target` trains from an all-zero table until the held-out
-  accuracy reaches a target (checked before every episode, so one already
-  met returns after 0 episodes) or the timeout lapses, flagging it unconverged.
+* without ``target_vaf``, until the configured schedule completes;
+* with ``target_vaf``, until the held-out accuracy reaches it (checked
+  before every episode, so one already met returns after 0 episodes); a
+  pipeline whose time runs out first is flagged unconverged.
 
 Accuracy is variance-accounted-for on a chronological held-out tail.
 """
@@ -47,8 +47,9 @@ from .qlearn import (
     REWARD_KINDS,
     AgentConfig,
     QModel,
+    TrainingDays,
     epsilon_at,
-    predict_series,
+    predict_days,
     run_episode,
     training_days,
 )
@@ -64,20 +65,23 @@ class BenchError(SentiqError):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Comparison knobs: agent settings plus split and timeout."""
+    """The race: agent settings, split, wall-clock limit per pipeline and optional target."""
 
     agent: AgentConfig = AgentConfig()
     reward: str = CDR
     train_frac: float = 0.7
-    timeout_seconds: float = 600.0
+    seconds: float = 600.0
+    target_vaf: float | None = None
 
     def __post_init__(self) -> None:
         if self.reward not in REWARD_KINDS:
             raise BenchError(f"unknown reward kind {self.reward!r}")
         if not 0.0 < self.train_frac < 1.0:
             raise BenchError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if not self.timeout_seconds > 0:
-            raise BenchError(f"timeout_seconds must be positive, got {self.timeout_seconds}")
+        if not self.seconds > 0:
+            raise BenchError(f"seconds must be positive, got {self.seconds}")
+        if self.target_vaf is not None and not math.isfinite(self.target_vaf):
+            raise BenchError(f"target_vaf must be finite, got {self.target_vaf}")
 
 
 def split_point(n_days: int, train_frac: float) -> int:
@@ -162,11 +166,11 @@ def _ingest_day(bucket: DayBucket, lexicon: Lexicon, filtered: bool) -> tuple[Da
     return daily_signal(deduped, lexicon), utilized
 
 
-def _held_out(model: QModel, test_series: PriceSeries, test_signals) -> tuple[tuple, float]:
+def _held_out(model: QModel, days: TrainingDays) -> tuple[tuple, float]:
     """Predictions for the held-out tail and their VAF (NaN when VAF is undefined)."""
-    predictions = predict_series(model, test_series, test_signals)
+    predictions = predict_days(model, days)
     try:
-        return predictions, vaf(test_series.prices[1:], predictions)
+        return predictions, vaf(days.prices[1:], predictions)
     except MetricError:
         return predictions, float("nan")
 
@@ -177,13 +181,12 @@ def _run_approach(
     series: PriceSeries,
     lexicon: Lexicon,
     cfg: BenchConfig,
-    seconds: float,
-    target_vaf: float | None,
     clock: Callable[[], float],
 ) -> ApproachResult:
     session = profiler.start(PROFILE_INTERVAL)
     t0 = clock()
-    deadline = t0 + seconds
+    deadline = t0 + cfg.seconds
+    target_vaf = cfg.target_vaf
 
     signals: list[DailySignal] = []
     utilized = 0
@@ -211,18 +214,19 @@ def _run_approach(
             series.slice(0, len(signals)), signals, cfg.train_frac
         )
         days = training_days(train_series, train_signals, agent)
+        test_days = training_days(test_series, test_signals, agent)
         rng = np.random.default_rng(agent.seed)
         while True:
             if target_vaf is not None:
-                converged = _held_out(model, test_series, test_signals)[1] >= target_vaf
+                converged = _held_out(model, test_days)[1] >= target_vaf
                 if converged:
                     break
             if clock() >= deadline or (target_vaf is None and episodes_run >= agent.episodes):
                 break
             run_episode(model, days, cfg.reward, epsilon_at(agent, episodes_run), rng)
             episodes_run += 1
-        predictions, final = _held_out(model, test_series, test_signals)
-        test_prices = test_series.prices[1:]
+        predictions, final = _held_out(model, test_days)
+        test_prices = test_days.prices[1:]
 
     return ApproachResult(
         approach=approach,
@@ -237,51 +241,21 @@ def _run_approach(
     )
 
 
-def _compare(
+def compare(
     records: Sequence[TweetRecord],
     series: PriceSeries,
     lexicon: Lexicon,
-    cfg: BenchConfig,
-    seconds: float,
-    target_vaf: float | None,
-    clock: Callable[[], float],
-) -> ComparisonReport:
-    classic = _run_approach("classic", records, series, lexicon, cfg, seconds, target_vaf, clock)
-    proposed = _run_approach("proposed", records, series, lexicon, cfg, seconds, target_vaf, clock)
-    if target_vaf is None:
-        return ComparisonReport("fixed_time", seconds, None, classic, proposed)
-    return ComparisonReport("to_target", None, target_vaf, classic, proposed)
-
-
-def run_fixed_time(
-    records: Sequence[TweetRecord],
-    series: PriceSeries,
-    lexicon: Lexicon,
-    budget_seconds: float,
     cfg: BenchConfig = BenchConfig(),
     *,
     clock: Callable[[], float] = time.monotonic,
 ) -> ComparisonReport:
-    """Give both pipelines the same wall-clock budget and report both."""
-    if not budget_seconds > 0:
-        raise BenchError(f"budget_seconds must be positive, got {budget_seconds}")
-    return _compare(records, series, lexicon, cfg, budget_seconds, None, clock)
+    """Run the classic then the filtered pipeline under ``cfg`` and report both.
 
-
-def run_to_target(
-    records: Sequence[TweetRecord],
-    series: PriceSeries,
-    lexicon: Lexicon,
-    target_vaf: float,
-    cfg: BenchConfig = BenchConfig(),
-    *,
-    clock: Callable[[], float] = time.monotonic,
-) -> ComparisonReport:
-    """Train both pipelines until held-out accuracy reaches ``target_vaf``.
-
-    Results hitting ``cfg.timeout_seconds`` first are flagged unconverged;
-    ``cfg.agent.episodes`` sets the epsilon schedule, not an episode cap.
+    With ``cfg.target_vaf`` set, ``cfg.agent.episodes`` sets the epsilon
+    schedule, not an episode cap.
     """
-    if not math.isfinite(target_vaf):
-        raise BenchError(f"target_vaf must be finite, got {target_vaf}")
-    return _compare(records, series, lexicon, cfg, cfg.timeout_seconds, target_vaf, clock)
+    classic = _run_approach("classic", records, series, lexicon, cfg, clock)
+    proposed = _run_approach("proposed", records, series, lexicon, cfg, clock)
+    if cfg.target_vaf is None:
+        return ComparisonReport("fixed_time", cfg.seconds, None, classic, proposed)
+    return ComparisonReport("to_target", None, cfg.target_vaf, classic, proposed)

@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: ``synth`` (corpus generation),
 ``preprocess`` (clean + per-day dedup), ``split`` (attribute top-half
 dataset), ``sentiment`` (daily signal series), ``train`` / ``predict``
 (Q-model), ``evaluate`` (accuracy report), and ``compare`` (classic vs
-filtered benchmark).
+filtered benchmark: each pipeline gets ``--seconds`` of wall clock, and with
+``--target-vaf`` it stops early once its held-out accuracy reaches that).
 
 ``sentiment``, ``train`` and ``predict`` load and bucket the raw tweets,
 keep each day's top half by the attribute, and only then clean, dedup and
@@ -46,13 +47,10 @@ _INT_KEYS = {
 }
 _FLOAT_KEYS = {
     "gamma", "theta", "epsilon_start", "epsilon_end", "price_bucket_width",
-    "price_max", "rho", "base_price", "daily_vol", "train_frac", "budget",
-    "target_vaf", "timeout",
+    "price_max", "rho", "base_price", "daily_vol", "train_frac", "seconds",
+    "target_vaf",
 }
-_STR_KEYS = {
-    "state", "reward", "attribute", "format", "tweets", "prices", "lexicon",
-    "model", "out",
-}
+_STR_KEYS = {"state", "reward", "attribute", "format", "prices", "lexicon"}
 CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
@@ -305,22 +303,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     opts = _options(args)
+    cfg = bench.BenchConfig(agent=_agent_config(opts), **_given(opts, bench.BenchConfig))
     series = corpus.load_prices(opts.get("prices"))
     loaded = corpus.load_tweets(opts.get("tweets"), format=_format(opts), window=series.window())
-    cfg = bench.BenchConfig(
-        agent=_agent_config(opts), **_given(opts, bench.BenchConfig, timeout_seconds="timeout")
-    )
-    lexicon = _lexicon(opts)
-    if args.mode == "time":
-        budget = opts.get("budget")
-        if budget is None:
-            raise ConfigError("--budget is required for --mode time")
-        report = bench.run_fixed_time(loaded.records, series, lexicon, budget, cfg)
-    else:
-        target = opts.get("target_vaf")
-        if target is None:
-            raise ConfigError("--target-vaf is required for --mode target")
-        report = bench.run_to_target(loaded.records, series, lexicon, target, cfg)
+    report = bench.compare(loaded.records, series, _lexicon(opts), cfg)
     for result in (report.classic, report.proposed):
         flag = "" if result.converged is None else f" converged={result.converged}"
         print(
@@ -334,9 +320,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
+    if seed:
+        sub.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--days", type=int)
     p.add_argument("--tweets-per-day", type=int, dest="tweets_per_day")
     p.add_argument("--rho", type=float, help="planted follower-signal strength in [0, 1]")
@@ -386,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sentiment)
 
     p = sub.add_parser("train", help="train a Q-model on a corpus + price history")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--tweets", required=True)
     p.add_argument("--prices", required=True)
     p.add_argument("--lexicon")
@@ -415,14 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="classic vs follower-filtered pipeline benchmark")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--tweets", required=True)
     p.add_argument("--prices", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--mode", choices=["time", "target"], required=True)
-    p.add_argument("--budget", type=float, help="wall-clock seconds per approach (time mode)")
-    p.add_argument("--target-vaf", type=float, dest="target_vaf", help="accuracy target (target mode)")
-    p.add_argument("--timeout", type=float, help="give up after this many seconds (target mode)")
+    p.add_argument("--seconds", type=float, help="wall-clock limit per approach (default 600)")
+    p.add_argument("--target-vaf", type=float, dest="target_vaf",
+                   help="stop an approach once its held-out VAF reaches this")
     p.add_argument("--reward", choices=list(qlearn.REWARD_KINDS))
     p.add_argument("--train-frac", type=float, dest="train_frac")
     p.add_argument("--format", choices=["csv", "jsonl"])

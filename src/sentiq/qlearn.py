@@ -188,16 +188,13 @@ def _geometry(
     return alpha, l, ap - l, ap + l, l < tol
 
 
-def zero_reward_points(
-    ap: float, ap_prev: float, pp_prev: float, tol: float | None = None
-) -> ZeroRewardGeometry:
+def zero_reward_points(ap: float, ap_prev: float, pp_prev: float) -> ZeroRewardGeometry:
     """Zero-score prediction values for a day, from the carry-forward baseline."""
     if not ap_prev > 0:
         raise QLearnError(f"previous actual price must be positive, got {ap_prev}")
     if not ap > 0:
         raise QLearnError(f"actual price must be positive, got {ap}")
-    if tol is None:
-        tol = 1e-9 * ap
+    tol = 1e-9 * ap
     return ZeroRewardGeometry(*_geometry(ap, ap_prev, pp_prev, tol), tol=tol)
 
 
@@ -305,7 +302,7 @@ def _check_alignment(prices: PriceSeries, signals: Sequence[DailySignal], min_le
 
 
 class TrainingDays(NamedTuple):
-    """The per-run inputs of :func:`run_episode`, built by :func:`training_days`.
+    """The inputs of :func:`run_episode` and :func:`predict_days`, built by :func:`training_days`.
 
     ``prices[t]`` is day ``t``'s price and ``states[rows[t]]`` the state day
     ``t`` leads to; ``states`` lists each distinct state once. ``moves[t]``
@@ -435,16 +432,20 @@ def train(
     return model, TrainLog(tuple(mean_rewards), tuple(epsilons))
 
 
+def predict_days(model: QModel, days: TrainingDays) -> tuple[float, ...]:
+    """Greedy next-day predictions for days 1..n-1; each distinct state's action is found once."""
+    actions = [model.greedy_action(s) for s in days.states]
+    return tuple(
+        predicted_price(price, actions[row]) for price, row in zip(days.prices[:-1], days.rows)
+    )
+
+
 def predict_series(
     model: QModel, prices: PriceSeries, signals: Sequence[DailySignal]
 ) -> tuple[float, ...]:
     """Greedy next-day predictions for days 1..n-1 of an aligned series."""
     _check_alignment(prices, signals, min_len=2)
-    days = training_days(prices, signals, model.config)
-    return tuple(
-        predicted_price(price, model.greedy_action(days.states[row]))
-        for price, row in zip(days.prices[:-1], days.rows)
-    )
+    return predict_days(model, training_days(prices, signals, model.config))
 
 
 def save_model(model: QModel, path: str | Path) -> None:

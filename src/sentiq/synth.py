@@ -35,6 +35,7 @@ from .corpus import PricePoint, PriceSeries, TweetRecord, checked_record, round_
 from .errors import SentiqError
 from .sentiment import builtin_lexicon
 
+_START = dt.date(2021, 1, 1)  # the first price day
 _RETURN_TRIALS = 4  # binomial trials behind each day's move; sd of the count is 1
 _SIGNAL_SLOPE = 0.2  # latent factor -> signal-tweet target valence
 _SIGNAL_VALENCE_NOISE = 0.15
@@ -62,7 +63,6 @@ class SynthConfig:
     base_price: float = 20_000.0
     daily_vol: float = 0.02
     seed: int = 0
-    start: dt.date = dt.date(2021, 1, 1)
 
     def __post_init__(self) -> None:
         if self.days < 2:
@@ -102,10 +102,10 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
     step_pct = 200.0 * cfg.daily_vol / math.sqrt(_RETURN_TRIALS)
     points = []
     price = max(round_price(cfg.base_price), 0.01)
-    points.append(PricePoint(cfg.start, price))
+    points.append(PricePoint(_START, price))
     for d in range(1, days):
         price = max(round_price(price * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01)
-        points.append(PricePoint(cfg.start + dt.timedelta(days=d), price))
+        points.append(PricePoint(_START + dt.timedelta(days=d), price))
     series = PriceSeries(tuple(points))
 
     # Latent daily factor: correlated with the standardized next-day move.

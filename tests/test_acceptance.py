@@ -22,7 +22,7 @@ import oracles
 from helpers import run_cli
 from test_preprocess import assert_clean_invariants
 from sentiq.attributes import Attribute, build_dataset
-from sentiq.bench import BenchConfig, chronological_split, run_to_target
+from sentiq.bench import BenchConfig, chronological_split, compare
 from sentiq.corpus import bucket_by_day, load_tweets
 from sentiq.metrics import evaluate, mape, nse, r2, rmse, vaf, wmape
 from sentiq.preprocess import clean, clean_and_dedup
@@ -354,9 +354,10 @@ def test_acceptance_06_resource_comparison(capsys, lexicon, planted_corpora):
             agent=planted_agent(seed),
             reward=CDR,
             train_frac=0.7,
-            timeout_seconds=20.0,
+            seconds=20.0,
+            target_vaf=95.0,
         )
-        report = run_to_target(tweets, series, lexicon, 95.0, cfg)
+        report = compare(tweets, series, lexicon, cfg)
         classic, proposed = report.classic, report.proposed
         assert proposed.tweets_utilized < classic.tweets_utilized
         wall_wins += proposed.wall_seconds < classic.wall_seconds
@@ -397,8 +398,8 @@ def _pipeline_artifacts(root):
         ["evaluate", "--actual", "prices.csv", "--predicted", "predictions.csv",
          "--out", "eval_report.json"],
         ["compare", "--config", "agent.cfg", "--tweets", "tweets.csv",
-         "--prices", "prices.csv", "--mode", "target", "--target-vaf", -1e9,
-         "--timeout", 30, "--out", "compare.json"],
+         "--prices", "prices.csv", "--target-vaf", -1e9,
+         "--seconds", 30, "--out", "compare.json"],
     ]
     for stage in stages:
         code, _, err = run_cli(stage, cwd=root)

@@ -1,20 +1,21 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from helpers import make_series, make_signals
+from sentiq import bench, qlearn
 from sentiq.bench import (
     PROFILE_INTERVAL,
     BenchConfig,
     BenchError,
     chronological_split,
-    run_fixed_time,
-    run_to_target,
+    compare,
     split_point,
 )
 from sentiq.metrics import vaf
-from sentiq.qlearn import CDR, AgentConfig
+from sentiq.qlearn import CDR, AgentConfig, training_days
 from sentiq.synth import SynthConfig, gen_corpus
 
 
@@ -37,7 +38,7 @@ def small_bench(**overrides):
         agent=small_agent(),
         reward=CDR,
         train_frac=0.7,
-        timeout_seconds=30.0,
+        seconds=30.0,
     )
     defaults.update(overrides)
     return BenchConfig(**defaults)
@@ -95,24 +96,24 @@ def test_bench_config_validation():
         small_bench(train_frac=0.0)
     with pytest.raises(BenchError, match="train_frac"):
         small_bench(train_frac=1.0)
-    with pytest.raises(BenchError, match="timeout"):
-        small_bench(timeout_seconds=0.0)
+    with pytest.raises(BenchError, match="seconds"):
+        small_bench(seconds=0.0)
 
 
 # ---------------------------------------------------------------------------
 # fixed-time mode
 
 
-def test_fixed_time_requires_positive_budget(corpus, lexicon):
-    tweets, series = corpus
-    with pytest.raises(BenchError, match="budget_seconds"):
-        run_fixed_time(tweets, series, lexicon, 0.0, small_bench())
+def test_fixed_time_requires_positive_budget():
+    for seconds in (0.0, -5.0, float("nan")):
+        with pytest.raises(BenchError, match="seconds must be positive"):
+            small_bench(seconds=seconds)
 
 
 def test_fixed_time_full_run_shape(corpus, lexicon):
     tweets, series = corpus
     cfg = small_bench()
-    report = run_fixed_time(tweets, series, lexicon, 30.0, cfg)
+    report = compare(tweets, series, lexicon, cfg)
 
     assert report.mode == "fixed_time"
     assert report.budget_seconds == 30.0
@@ -136,14 +137,14 @@ def test_fixed_time_full_run_shape(corpus, lexicon):
 
 def test_fixed_time_final_vaf_matches_recompute(corpus, lexicon):
     tweets, series = corpus
-    report = run_fixed_time(tweets, series, lexicon, 30.0, small_bench())
+    report = compare(tweets, series, lexicon, small_bench())
     for result in (report.classic, report.proposed):
         assert result.final_vaf == vaf(result.test_prices, result.predictions)
 
 
 def test_fixed_time_report_serialization(corpus, lexicon):
     tweets, series = corpus
-    report = run_fixed_time(tweets, series, lexicon, 30.0, small_bench())
+    report = compare(tweets, series, lexicon, small_bench())
     payload = json.loads(report.to_json())
     assert payload == report.to_dict()
     assert set(payload) == {"mode", "budget_seconds", "target_vaf", "classic", "proposed"}
@@ -161,10 +162,9 @@ def test_fixed_time_report_serialization(corpus, lexicon):
 
 def test_fixed_time_is_deterministic_under_a_fake_clock(corpus, lexicon):
     tweets, series = corpus
-    cfg = small_bench()
+    cfg = small_bench(seconds=1000.0)
     reports = [
-        run_fixed_time(tweets, series, lexicon, 1000.0, cfg, clock=stepping_clock(0.001))
-        for _ in range(2)
+        compare(tweets, series, lexicon, cfg, clock=stepping_clock(0.001)) for _ in range(2)
     ]
 
     def comparable(report):
@@ -182,10 +182,10 @@ def test_fixed_time_is_deterministic_under_a_fake_clock(corpus, lexicon):
 
 def test_fixed_time_tiny_budget_stops_at_day_boundaries(corpus, lexicon):
     tweets, series = corpus
-    cfg = small_bench()
+    cfg = small_bench(seconds=5.0)
     # Each clock call advances a whole second: t0 = 1.0, deadline = 6.0, so
     # exactly four day checks pass before the budget lapses mid-ingestion.
-    report = run_fixed_time(tweets, series, lexicon, 5.0, cfg, clock=stepping_clock(1.0))
+    report = compare(tweets, series, lexicon, cfg, clock=stepping_clock(1.0))
     for result, per_day in ((report.classic, 8), (report.proposed, 4)):
         assert result.tweets_utilized == 4 * per_day
         assert result.episodes_run == 0
@@ -197,15 +197,14 @@ def test_fixed_time_tiny_budget_stops_at_day_boundaries(corpus, lexicon):
 # train-to-target mode
 
 
-def test_to_target_rejects_non_finite_target(corpus, lexicon):
-    tweets, series = corpus
+def test_to_target_rejects_non_finite_target():
     with pytest.raises(BenchError, match="finite"):
-        run_to_target(tweets, series, lexicon, float("nan"), small_bench())
+        small_bench(target_vaf=float("nan"))
 
 
 def test_to_target_returns_immediately_when_already_met(corpus, lexicon):
     tweets, series = corpus
-    report = run_to_target(tweets, series, lexicon, -1e9, small_bench())
+    report = compare(tweets, series, lexicon, small_bench(target_vaf=-1e9))
     assert report.mode == "to_target"
     assert report.budget_seconds is None
     assert report.target_vaf == -1e9
@@ -216,23 +215,47 @@ def test_to_target_returns_immediately_when_already_met(corpus, lexicon):
 
 def test_to_target_flags_unconverged_on_timeout(corpus, lexicon):
     tweets, series = corpus
-    cfg = small_bench(timeout_seconds=0.05)
     # A variance-accounted-for above 100 is unreachable by construction.
-    report = run_to_target(tweets, series, lexicon, 101.0, cfg, clock=stepping_clock(0.001))
+    cfg = small_bench(seconds=0.05, target_vaf=101.0)
+    report = compare(tweets, series, lexicon, cfg, clock=stepping_clock(0.001))
     for result in (report.classic, report.proposed):
         assert result.converged is False
         assert result.episodes_run > 0
 
 
+def test_to_target_discretizes_each_split_once(corpus, lexicon, monkeypatch):
+    # Checking the target before every episode reuses the held-out days built
+    # once per approach; only the training head and the held-out tail are
+    # discretized.
+    tweets, series = corpus
+    calls = []
+
+    def counting_training_days(*args):
+        calls.append(args)
+        return training_days(*args)
+
+    monkeypatch.setattr(qlearn, "training_days", counting_training_days)
+    monkeypatch.setattr(bench, "training_days", counting_training_days)
+    cfg = small_bench(seconds=0.05, target_vaf=101.0)
+    report = compare(tweets, series, lexicon, cfg, clock=stepping_clock(0.001))
+    for result in (report.classic, report.proposed):
+        assert result.episodes_run > 1
+    assert len(calls) == 2 * 2
+
+
 def test_to_target_converges_after_training(lexicon):
     tweets, series = gen_corpus(SynthConfig(days=120, tweets_per_day=10, rho=0.8, seed=2))
-    cfg = small_bench(agent=small_agent(sentiment_bins=51, episodes=10), timeout_seconds=0.3)
+    cfg = small_bench(agent=small_agent(sentiment_bins=51, episodes=10), seconds=0.3)
     # A target every model meets stops both runs before training; their VAF
     # is the untrained model's.
-    untrained = run_to_target(tweets, series, lexicon, -1e9, cfg, clock=stepping_clock(0.001))
+    untrained = compare(
+        tweets, series, lexicon, replace(cfg, target_vaf=-1e9), clock=stepping_clock(0.001)
+    )
     assert untrained.proposed.episodes_run == 0
     target = untrained.proposed.final_vaf + 0.05
-    report = run_to_target(tweets, series, lexicon, target, cfg, clock=stepping_clock(0.001))
+    report = compare(
+        tweets, series, lexicon, replace(cfg, target_vaf=target), clock=stepping_clock(0.001)
+    )
     proposed = report.proposed
     assert proposed.converged is True
     assert proposed.episodes_run > 0
@@ -243,8 +266,8 @@ def test_to_target_handles_unscorable_held_out_tail(lexicon):
     # Constant held-out prices make the accuracy metric undefined, so the
     # run can never converge and reports a NaN final score.
     series = make_series([500.0] * 10)
-    cfg = small_bench(timeout_seconds=0.05)
-    report = run_to_target((), series, lexicon, -1e9, cfg, clock=stepping_clock(0.001))
+    cfg = small_bench(seconds=0.05, target_vaf=-1e9)
+    report = compare((), series, lexicon, cfg, clock=stepping_clock(0.001))
     for result in (report.classic, report.proposed):
         assert result.tweets_utilized == 0
         assert result.converged is False

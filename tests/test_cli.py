@@ -63,7 +63,11 @@ def test_usage_errors_exit_2(tmp_path):
     )
     assert code == 2
     assert "invalid choice" in err
-    assert run_cli(["compare", "--tweets", "t", "--prices", "p"], cwd=tmp_path)[0] == 2
+    assert run_cli(
+        ["compare", "--tweets", "t", "--prices", "p", "--seconds", "soon"], cwd=tmp_path
+    )[0] == 2
+    # Only synth, train and compare read a seed.
+    assert run_cli(["preprocess", "--tweets", "t", "--out", "o", "--seed", 1], cwd=tmp_path)[0] == 2
 
 
 def test_help_exits_0(tmp_path):
@@ -128,13 +132,13 @@ def test_config_file_errors_exit_1(tmp_path):
 
     # Values are cast as the file is read, so a key synth never reads fails too.
     unread = tmp_path / "unread.cfg"
-    unread.write_text("days = 3\nbudget = soon\n", encoding="utf-8")
+    unread.write_text("days = 3\nseconds = soon\n", encoding="utf-8")
     code, _, err = run_cli(
         ["synth", "--config", unread, "--out-tweets", "t.csv", "--out-prices", "p.csv"],
         cwd=tmp_path,
     )
     assert code == 1
-    assert f"{unread}:2: config key 'budget': not a number: 'soon'" in err
+    assert f"{unread}:2: config key 'seconds': not a number: 'soon'" in err
 
     not_assignment = tmp_path / "broken.cfg"
     not_assignment.write_text("days\n", encoding="utf-8")
@@ -493,8 +497,7 @@ def test_compare_time_mode(cli_corpus, agent_cfg_file):
             "--config", agent_cfg_file,
             "--tweets", tweets,
             "--prices", prices,
-            "--mode", "time",
-            "--budget", 10,
+            "--seconds", 10,
             "--out", out,
         ],
         cwd=root,
@@ -516,9 +519,8 @@ def test_compare_target_mode(cli_corpus, agent_cfg_file):
             "--config", agent_cfg_file,
             "--tweets", tweets,
             "--prices", prices,
-            "--mode", "target",
             "--target-vaf", -1e9,
-            "--timeout", 20,
+            "--seconds", 20,
         ],
         cwd=root,
     )
@@ -526,16 +528,11 @@ def test_compare_target_mode(cli_corpus, agent_cfg_file):
     assert stdout.count("converged=True") == 2
 
 
-def test_compare_missing_mode_argument_exits_1(cli_corpus):
+def test_compare_rejects_bad_seconds_and_target_exits_1(cli_corpus):
     root, tweets, prices = cli_corpus
-    code, _, err = run_cli(
-        ["compare", "--tweets", tweets, "--prices", prices, "--mode", "time"], cwd=root
-    )
-    assert code == 1
-    assert "--budget is required" in err
-
-    code, _, err = run_cli(
-        ["compare", "--tweets", tweets, "--prices", prices, "--mode", "target"], cwd=root
-    )
-    assert code == 1
-    assert "--target-vaf is required" in err
+    for extra, field in ((["--seconds", 0], "seconds"), (["--target-vaf", "nan"], "target_vaf")):
+        code, _, err = run_cli(
+            ["compare", "--tweets", tweets, "--prices", prices, *extra], cwd=root
+        )
+        assert code == 1
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1, err

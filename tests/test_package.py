@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import sentiq
+from sentiq.cli import CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +41,14 @@ def test_readme_and_demo_imports_are_exactly_the_exports():
     for name in exported:
         assert hasattr(sentiq, name), name
     assert isinstance(sentiq.__version__, str)
+
+
+def test_readme_configuration_table_lists_exactly_the_config_keys():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == CONFIG_KEYS, {
+        "undocumented": CONFIG_KEYS - set(listed), "not a key": set(listed) - CONFIG_KEYS
+    }
