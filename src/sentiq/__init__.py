@@ -30,14 +30,15 @@ from .qlearn import (
     train,
     zero_reward_points,
 )
-from .sentiment import builtin_lexicon, daily_signals
+from .sentiment import builtin_lexicon, daily_signals, day_signal
 from .synth import SynthConfig, gen_corpus
 
 __all__ = [
     "AgentConfig", "Attribute", "BenchConfig", "CDR", "RDR", "SDR", "SynthConfig",
     "bucket_by_day", "build_dataset", "builtin_lexicon", "chronological_split", "clean",
-    "clean_and_dedup", "compare", "daily_signals", "evaluate", "gen_corpus", "predict_series",
-    "reward_cdr", "reward_rdr", "reward_sdr", "train", "vaf", "zero_reward_points",
+    "clean_and_dedup", "compare", "daily_signals", "day_signal", "evaluate", "gen_corpus",
+    "predict_series", "reward_cdr", "reward_rdr", "reward_sdr", "train", "vaf",
+    "zero_reward_points",
 ]
 
 __version__ = "0.1.0"

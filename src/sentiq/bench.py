@@ -37,11 +37,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import profiler
-from .attributes import Attribute, rank_and_halve
-from .corpus import DayBucket, PriceSeries, TweetRecord, bucket_by_day
+from .attributes import Attribute
+from .corpus import PriceSeries, TweetRecord, bucket_by_day
 from .errors import SentiqError
 from .metrics import MetricError, vaf
-from .preprocess import clean_bucket, dedup
 from .qlearn import (
     CDR,
     REWARD_KINDS,
@@ -53,7 +52,7 @@ from .qlearn import (
     run_episode,
     training_days,
 )
-from .sentiment import DailySignal, Lexicon, daily_signal
+from .sentiment import DailySignal, Lexicon, day_signal
 
 
 PROFILE_INTERVAL = 0.25  # seconds between resource samples
@@ -157,15 +156,6 @@ class ComparisonReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _ingest_day(bucket: DayBucket, lexicon: Lexicon, filtered: bool) -> tuple[DailySignal, int]:
-    if filtered:
-        bucket = rank_and_halve(bucket, Attribute.FOLLOWERS)
-    utilized = len(bucket.tweets)
-    cleaned, _ = clean_bucket(bucket)
-    (deduped,) = dedup((cleaned,))
-    return daily_signal(deduped, lexicon), utilized
-
-
 def _held_out(model: QModel, days: TrainingDays) -> tuple[tuple, float]:
     """Predictions for the held-out tail and their VAF (NaN when VAF is undefined)."""
     predictions = predict_days(model, days)
@@ -188,20 +178,19 @@ def _run_approach(
     deadline = t0 + cfg.seconds
     target_vaf = cfg.target_vaf
 
+    attribute = Attribute.FOLLOWERS if approach == "proposed" else None
     signals: list[DailySignal] = []
     utilized = 0
     for bucket in bucket_by_day(records, series):
         if clock() >= deadline:
             break
-        signal, n = _ingest_day(bucket, lexicon, filtered=(approach == "proposed"))
+        signal, n = day_signal(bucket, attribute, lexicon)
         signals.append(signal)
         utilized += n
 
     agent = cfg.agent
     model = QModel.zeros(
-        agent,
-        reward=cfg.reward,
-        attribute=Attribute.FOLLOWERS.value if approach == "proposed" else None,
+        agent, reward=cfg.reward, attribute=attribute.value if attribute else None
     )
     episodes_run = 0
     converged: bool | None = None

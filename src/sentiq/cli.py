@@ -29,6 +29,7 @@ import datetime as dt
 import json
 import logging
 import math
+import re
 import sys
 from collections import ChainMap
 from pathlib import Path
@@ -37,7 +38,10 @@ from . import bench, corpus, preprocess, qlearn, synth
 from .attributes import Attribute, build_dataset
 from .errors import ConfigError, CorpusError, SentiqError
 from .metrics import evaluate
-from .sentiment import Lexicon, builtin_lexicon, daily_signals, load_lexicon
+# The signal path calls day_signal; daily_signals stays importable here
+# because perfbench's tracer (perfbench/tracing.py) wraps cli.daily_signals
+# and cli.build_dataset by name.
+from .sentiment import Lexicon, builtin_lexicon, daily_signals, day_signal, load_lexicon
 
 logger = logging.getLogger(__name__)
 
@@ -141,13 +145,14 @@ def _signal_pipeline(opts: ChainMap, attribute: Attribute | None):
     """The price series and one daily signal per series day.
 
     Each day's raw tweets are ranked by ``attribute`` and only the top half
-    is cleaned, deduplicated and scored, the order ``compare`` uses too. A
-    tweet that cleans to empty or duplicates an earlier one is dropped after
-    the ranking, so it still takes one of the day's kept places.
+    is cleaned, deduplicated and scored (:func:`~sentiq.sentiment.day_signal`,
+    the stage ``compare`` uses too). A tweet that cleans to empty or
+    duplicates an earlier one is dropped after the ranking, so it still takes
+    one of the day's kept places.
     """
     series, buckets = _load_buckets(opts)
-    kept = build_dataset(buckets, attribute).buckets
-    return series, daily_signals(preprocess.clean_and_dedup(kept), _lexicon(opts))
+    lexicon = _lexicon(opts)
+    return series, tuple(day_signal(bucket, attribute, lexicon)[0] for bucket in buckets)
 
 
 def _cleaned_rows(buckets) -> tuple[corpus.DayBucket, ...]:
@@ -157,9 +162,7 @@ def _cleaned_rows(buckets) -> tuple[corpus.DayBucket, ...]:
         rows = []
         for t in bucket.tweets:
             o = t.original
-            rows.append(o if t.clean_text == o.text else corpus.checked_record(
-                o.id, o.timestamp, t.clean_text, o.followers, o.comments, o.likes, o.retweets
-            ))
+            rows.append(o if t.clean_text == o.text else o._replace(text=t.clean_text))
         days.append(corpus.DayBucket(bucket.date, tuple(rows)))
     return tuple(days)
 
@@ -320,6 +323,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes ``-1e9`` for a number, not for an option.
+
+    argparse reads an argument that starts with ``-`` as a value only when it
+    looks like ``-5`` or ``-.5``, so ``--target-vaf -1e9`` would stop with
+    "expected one argument". Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     if seed:
@@ -327,7 +343,7 @@ def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sentiq",
         description="Tweet-sentiment Q-learning price prediction pipeline",
     )

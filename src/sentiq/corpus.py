@@ -21,9 +21,9 @@ import json
 import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusError
 
@@ -34,7 +34,7 @@ _COUNT_FIELDS = ("followers", "comments", "likes", "retweets")
 _DAY_S = 86_400
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _tweet_fields = itemgetter(*TWEET_FIELDS)
-_by_time_then_id = attrgetter("timestamp", "id")
+_by_time_then_id = itemgetter(1, 0)  # (timestamp, id) of a TweetRecord
 
 
 def round_price(value: float | int | str | Decimal) -> float:
@@ -66,10 +66,7 @@ def day_of(timestamp: int) -> dt.date:
     return dt.date.fromordinal(_EPOCH_ORDINAL + timestamp // _DAY_S)
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    """One raw tweet with its engagement counts."""
-
+class _TweetFields(NamedTuple):
     id: str
     timestamp: int
     text: str
@@ -78,19 +75,33 @@ class TweetRecord:
     likes: int
     retweets: int
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class TweetRecord(_TweetFields):
+    """One raw tweet with its engagement counts.
+
+    A named tuple: ``TweetRecord(...)`` checks every field, and
+    ``TweetRecord._make(values)`` builds one from values that already pass
+    those checks without running them again.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, timestamp: int, text: str, followers: int, comments: int, likes: int,
+        retweets: int,
+    ) -> "TweetRecord":
+        if not id:
             raise CorpusError("tweet id must be non-empty")
-        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
-            raise CorpusError(f"tweet {self.id}: timestamp must be an integer")
-        if not _MIN_TIMESTAMP <= self.timestamp <= _MAX_TIMESTAMP:
-            raise CorpusError(f"tweet {self.id}: timestamp outside years 1 to 9999")
-        if not self.text.strip():
-            raise CorpusError(f"tweet {self.id}: text is empty")
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
+        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+            raise CorpusError(f"tweet {id}: timestamp must be an integer")
+        if not _MIN_TIMESTAMP <= timestamp <= _MAX_TIMESTAMP:
+            raise CorpusError(f"tweet {id}: timestamp outside years 1 to 9999")
+        if not text.strip():
+            raise CorpusError(f"tweet {id}: text is empty")
+        for name, value in zip(_COUNT_FIELDS, (followers, comments, likes, retweets)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise CorpusError(f"tweet {self.id}: {name} must be a non-negative integer")
+                raise CorpusError(f"tweet {id}: {name} must be a non-negative integer")
+        return tuple.__new__(cls, (id, timestamp, text, followers, comments, likes, retweets))
 
     def day(self) -> dt.date:
         return day_of(self.timestamp)
@@ -175,26 +186,6 @@ class TweetLoadResult:
     total_rows: int
 
 
-def checked_record(
-    id: str, timestamp: int, text: str, followers: int, comments: int, likes: int, retweets: int
-) -> TweetRecord:
-    """A :class:`TweetRecord` from values that already pass its ``__post_init__`` checks.
-
-    Sets the fields one by one as the dataclass ``__init__`` does, which keeps
-    the instance's compact attribute storage, and skips the checks.
-    """
-    record = object.__new__(TweetRecord)
-    set_field = object.__setattr__
-    set_field(record, "id", id)
-    set_field(record, "timestamp", timestamp)
-    set_field(record, "text", text)
-    set_field(record, "followers", followers)
-    set_field(record, "comments", comments)
-    set_field(record, "likes", likes)
-    set_field(record, "retweets", retweets)
-    return record
-
-
 def _int_field(name: str, value) -> int:
     if isinstance(value, str):
         try:
@@ -231,7 +222,7 @@ def _build_record(fields: Sequence) -> TweetRecord:
         raise CorpusError(
             f"field 'timestamp': {timestamp} is outside the UTC days of years 1 to 9999"
         )
-    return checked_record(tweet_id, timestamp, text, followers, comments, likes, retweets)
+    return TweetRecord._make((tweet_id, timestamp, text, followers, comments, likes, retweets))
 
 
 def csv_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -301,16 +292,40 @@ def load_tweets(
     seen_ids: set[str] = set()
     dropped = 0
     total = 0
+    make = TweetRecord._make
     for lineno, fields in rows:
         total += 1
+        # A row passes this check only if _build_record accepts it with the
+        # same values; every other row goes through _build_record, which
+        # accepts it or names the field at fault.
+        tweet_id, ts, text, followers, comments, likes, retweets = fields
         try:
-            record = _build_record(fields)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        if record.id in seen_ids:
-            raise CorpusError(f"{path}:{lineno}: duplicate tweet id {record.id!r}")
-        seen_ids.add(record.id)
-        if not lo <= record.timestamp < hi:
+            ts = ts if type(ts) is int else int(ts, 10)
+            followers = followers if type(followers) is int else int(followers, 10)
+            comments = comments if type(comments) is int else int(comments, 10)
+            likes = likes if type(likes) is int else int(likes, 10)
+            retweets = retweets if type(retweets) is int else int(retweets, 10)
+        except (TypeError, ValueError):
+            valid = False
+        else:
+            valid = (
+                type(tweet_id) is str and tweet_id
+                and type(text) is str and text and not text.isspace()
+                and (followers | comments | likes | retweets) >= 0
+                and _MIN_TIMESTAMP <= ts <= _MAX_TIMESTAMP
+            )
+        if valid:
+            record = make((tweet_id, ts, text, followers, comments, likes, retweets))
+        else:
+            try:
+                record = _build_record(fields)
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+            tweet_id, ts = record.id, record.timestamp
+        if tweet_id in seen_ids:
+            raise CorpusError(f"{path}:{lineno}: duplicate tweet id {tweet_id!r}")
+        seen_ids.add(tweet_id)
+        if not lo <= ts < hi:
             dropped += 1
             continue
         records.append(record)
@@ -330,14 +345,11 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(TWEET_FIELDS)
-            for r in records:
-                writer.writerow(
-                    [r.id, r.timestamp, r.text, r.followers, r.comments, r.likes, r.retweets]
-                )
+            writer.writerows(records)
     elif format == "jsonl":
         with path.open("w", encoding="utf-8") as handle:
             for r in records:
-                handle.write(json.dumps({k: getattr(r, k) for k in TWEET_FIELDS}) + "\n")
+                handle.write(json.dumps(dict(zip(TWEET_FIELDS, r))) + "\n")
     else:
         raise CorpusError(f"unknown tweet format {format!r}, expected 'csv' or 'jsonl'")
     return len(records)

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import DayBucket
+from .attributes import Attribute, rank_and_halve
+from .corpus import DayBucket, _by_time_then_id
 from .errors import LexiconError
+from .preprocess import clean
 
 EMPHASIS_FACTOR = 1.292
 _MAX_EMPHASIS = 3
@@ -123,3 +125,28 @@ def daily_signal(bucket: DayBucket, lexicon: Lexicon) -> DailySignal:
 
 def daily_signals(buckets: tuple[DayBucket, ...], lexicon: Lexicon) -> tuple[DailySignal, ...]:
     return tuple(daily_signal(bucket, lexicon) for bucket in buckets)
+
+
+def day_signal(
+    bucket: DayBucket, attribute: Attribute | None, lexicon: Lexicon
+) -> tuple[DailySignal, int]:
+    """One day's signal from its raw records, and how many records the filter kept.
+
+    The same signal as ranking with :func:`~sentiq.attributes.build_dataset`,
+    then :func:`~sentiq.preprocess.clean_and_dedup` and :func:`daily_signal`,
+    in one pass: the kept records are taken in (timestamp, id) order, and each
+    text is cleaned, dropped when empty or already seen that day (the first
+    one wins) and scored.
+    """
+    if attribute is not None:
+        bucket = rank_and_halve(bucket, attribute)
+    seen: set[str] = set()
+    total = 0.0
+    for record in sorted(bucket.tweets, key=_by_time_then_id):
+        text = clean(record.text)
+        if not text or text in seen:
+            continue
+        seen.add(text)
+        total += score(text, lexicon)
+    n = len(seen)
+    return DailySignal(bucket.date, total / n if n else 0.0, n), len(bucket.tweets)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PricePoint, PriceSeries, TweetRecord, checked_record, round_price
+from .corpus import PricePoint, PriceSeries, TweetRecord, round_price
 from .errors import SentiqError
 from .sentiment import builtin_lexicon
 
@@ -151,9 +151,9 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
             for token in sentiment_tokens:
                 words.insert(int(rng.integers(0, len(words) + 1)), token)
             # Non-empty id and text, Python ints, non-negative counts: all valid.
-            tweets.append(checked_record(
+            tweets.append(TweetRecord._make((
                 f"{counter:08d}", day_start + int(offsets[i]), " ".join(words),
                 int(followers[i]), int(comments[i]), int(likes[i]), int(retweets[i]),
-            ))
+            )))
             counter += 1
     return tuple(tweets), series

@@ -4,12 +4,12 @@ import json
 import pytest
 
 from helpers import attribute_signal_series, run_cli
-from sentiq import bench
 from sentiq.attributes import Attribute, build_dataset
+from sentiq.cli import build_parser
 from sentiq.corpus import bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
 from sentiq.qlearn import load_model
-from sentiq.sentiment import builtin_lexicon, daily_signals
+from sentiq.sentiment import builtin_lexicon, daily_signals, day_signal
 
 
 @pytest.fixture(scope="module")
@@ -322,8 +322,8 @@ def test_sentiment_ranks_raw_tweets_before_cleaning(tmp_path):
     records = load_tweets(tmp_path / "tweets.csv", window=series.window()).records
     library = attribute_signal_series(records, series, builtin_lexicon(), Attribute.FOLLOWERS)
     for row, bucket, signal in zip(rows, bucket_by_day(records, series), library, strict=True):
-        ingested, _ = bench._ingest_day(bucket, builtin_lexicon(), filtered=True)
-        for s in (ingested, signal):
+        one_pass, _ = day_signal(bucket, Attribute.FOLLOWERS, builtin_lexicon())
+        for s in (one_pass, signal):
             assert row == [s.date.isoformat(), f"{s.mean_compound:.6f}", str(s.tweet_count)]
 
 
@@ -519,13 +519,29 @@ def test_compare_target_mode(cli_corpus, agent_cfg_file):
             "--config", agent_cfg_file,
             "--tweets", tweets,
             "--prices", prices,
-            "--target-vaf", -1e9,
+            "--target-vaf", "-1e9",
             "--seconds", 20,
         ],
         cwd=root,
     )
     assert code == 0, err
     assert stdout.count("converged=True") == 2
+
+
+def test_negative_numbers_with_an_exponent_are_values(tmp_path):
+    # argparse's own pattern for a negative number has no exponent, so it
+    # would read "-1e9" as an unknown option and exit 2.
+    args = build_parser().parse_args(
+        ["compare", "--tweets", "t", "--prices", "p", "--target-vaf", "-1e9", "--seconds", "5"]
+    )
+    assert (args.target_vaf, args.seconds) == (-1e9, 5.0)
+    assert build_parser().parse_args(
+        ["compare", "--tweets", "t", "--prices", "p", "--target-vaf", "-2.5E+3"]
+    ).target_vaf == -2500.0
+    code, _, err = run_cli(
+        ["compare", "--tweets", "t", "--prices", "p", "--target-vaf", "-1e9x"], cwd=tmp_path
+    )
+    assert code == 2 and "expected one argument" in err
 
 
 def test_compare_rejects_bad_seconds_and_target_exits_1(cli_corpus):

@@ -1,4 +1,6 @@
+import csv
 import datetime as dt
+import json
 import logging
 
 import pytest
@@ -8,12 +10,18 @@ from hypothesis import strategies as st
 from helpers import D0, T0, make_series, make_tweet
 from oracles import o_utc_day
 from sentiq.corpus import (
+    _MAX_TIMESTAMP,
+    _MIN_TIMESTAMP,
+    TWEET_FIELDS,
     CorpusError,
     PricePoint,
     PriceSeries,
     TweetRecord,
+    _build_record,
+    _iter_jsonl_rows,
     bucket_all_days,
     bucket_by_day,
+    csv_rows,
     day_of,
     load_prices,
     load_tweets,
@@ -82,6 +90,14 @@ def test_tweet_record_rejects_timestamps_outside_date_range():
     for ts in (first - 1, last + 1):
         with pytest.raises(CorpusError, match="t1: timestamp outside years 1 to 9999"):
             make_tweet("t1", timestamp=ts)
+
+
+def test_tweet_record_is_a_plain_named_tuple():
+    record = make_tweet("t1", T0, "x", followers=1, comments=2, likes=3, retweets=4)
+    assert not hasattr(record, "__dict__")
+    assert record == ("t1", T0, "x", 1, 2, 3, 4)
+    assert TweetRecord._make(record) == record
+    assert (record.id, record.timestamp, record.day()) == ("t1", T0, D0)
 
 
 def test_price_point_must_be_positive():
@@ -464,3 +480,106 @@ def test_day_boundaries_agree_with_day_of(tmp_path, start):
     for bucket in own_days:
         assert all(day_of(t.timestamp) == bucket.date for t in bucket.tweets)
     assert sum(len(b.tweets) for b in own_days) == len(records)
+
+
+# ---------------------------------------------------------------------------
+# load_tweets' fast row check against the per-field checks of _build_record
+
+
+# Per field, values a row may hold besides a valid one; several are valid
+# after all (" 7", "1_000", "-0", an int id in JSONL).
+_CSV_INTS = ["", "x", " 7", "7 ", "1_000", "+5", "1.5", "1e3", "0x10", "\u0663", "\uff17", "True"]
+_JSON_INTS = [True, False, None, 1.5, 7.0, [1], "", "x", " 7", "1_000", "-3"]
+_OUT_OF_RANGE = [_MIN_TIMESTAMP - 1, _MAX_TIMESTAMP + 1, 1_609_459_200_000]
+_BLANK = ["", "   ", "\t", "\n"]
+CSV_ODD = (
+    ["", " "],
+    _CSV_INTS + [str(ts) for ts in _OUT_OF_RANGE],
+    _BLANK,
+    *[_CSV_INTS + ["-3", "-0"]] * 4,
+)
+JSON_ODD = (
+    ["", 0, 42, True, None, 1.5],
+    _JSON_INTS + _OUT_OF_RANGE,
+    _BLANK + [None, 5],
+    *[_JSON_INTS + [-3]] * 4,
+)
+VALID_ROW = st.tuples(
+    st.text(alphabet="ab1", min_size=1, max_size=3),
+    st.integers(T0 - 3 * DAY, T0 + 3 * DAY) | st.integers(_MIN_TIMESTAMP, _MAX_TIMESTAMP),
+    st.text(
+        alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+        min_size=1, max_size=8,
+    ).filter(lambda t: not t.isspace()),
+    *(st.integers(0, 10**6) for _ in range(4)),
+)
+
+
+DAY_1 = dt.timedelta(days=1)
+
+
+def _swapped(row, swaps):
+    row = list(row)
+    for i, value in swaps:
+        row[i] = value
+    return row
+
+
+def odd_rows(odd):
+    """Valid rows, some with one or two fields swapped for that field's odd values."""
+    swap = st.integers(0, len(TWEET_FIELDS) - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.sampled_from(odd[i]))
+    )
+    return st.lists(
+        st.builds(_swapped, VALID_ROW, st.lists(swap, max_size=2)), min_size=1, max_size=6
+    )
+
+
+def reference_load(path, format, window):
+    """``load_tweets`` with ``_build_record`` run on every row: the records, or the error."""
+    rows = csv_rows(path, TWEET_FIELDS) if format == "csv" else _iter_jsonl_rows(path)
+    lo, hi = window
+    records, seen = [], set()
+    for lineno, fields in rows:
+        try:
+            record = _build_record(fields)
+        except CorpusError as exc:
+            return f"{path}:{lineno}: {exc}"
+        if record.id in seen:
+            return f"{path}:{lineno}: duplicate tweet id {record.id!r}"
+        seen.add(record.id)
+        if lo <= record.day() <= hi:
+            records.append(record)
+    return tuple(records)
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_row_check_accepts_exactly_what_build_record_accepts(
+    tmp_path_factory, format, data
+):
+    rows = data.draw(odd_rows(CSV_ODD if format == "csv" else JSON_ODD))
+    window = data.draw(st.sampled_from([None, (D0 - DAY_1, D0 + DAY_1)]))
+    path = tmp_path_factory.mktemp("fast") / f"t.{format}"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        if format == "csv":
+            writer = csv.writer(handle)
+            writer.writerow(TWEET_FIELDS)
+            writer.writerows(rows)
+        else:
+            for row in rows:
+                handle.write(json.dumps(dict(zip(TWEET_FIELDS, row))) + "\n")
+
+    want = reference_load(path, format, window or (dt.date.min, dt.date.max))
+    if isinstance(want, str):
+        with pytest.raises(CorpusError) as info:
+            load_tweets(path, format=format, window=window)
+        assert str(info.value) == want
+    else:
+        got = load_tweets(path, format=format, window=window)
+        assert got.records == want
+        assert all(type(r) is TweetRecord for r in got.records)
+        assert [tuple(map(type, r)) for r in got.records] == [tuple(map(type, r)) for r in want]
+        assert got.total_rows == len(rows)
+        assert got.dropped_out_of_window == len(rows) - len(want)

@@ -1,13 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
-from sentiq.corpus import DayBucket
+from sentiq.attributes import Attribute, build_dataset
+from sentiq.corpus import DayBucket, bucket_by_day
 from sentiq.errors import LexiconError
-from sentiq.preprocess import CleanTweet
+from sentiq.preprocess import CleanTweet, clean_and_dedup
 from sentiq.sentiment import (
     EMPHASIS_FACTOR,
     Lexicon,
@@ -15,9 +17,11 @@ from sentiq.sentiment import (
     compound_of,
     daily_signal,
     daily_signals,
+    day_signal,
     load_lexicon,
     score,
 )
+from sentiq.synth import SynthConfig, gen_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +237,50 @@ def test_daily_mean_lies_within_member_range(texts_per_tweet):
     signal = daily_signal(bucket, lex)
     assert min(compounds) - 1e-12 <= signal.mean_compound <= max(compounds) + 1e-12
     assert signal.tweet_count == len(texts)
+
+
+# ---------------------------------------------------------------------------
+# day_signal: the one-pass stage against the staged pipeline
+
+
+def planted_corpus(seed: int):
+    """A synth corpus plus same-day rows that clean to empty or to an existing text.
+
+    The planted rows copy a tweet's counts, give or take one, so they rank
+    among, above and below the originals under every attribute.
+    """
+    tweets, series = gen_corpus(SynthConfig(days=12, tweets_per_day=9, rho=0.8, seed=seed))
+    rng = random.Random(seed)
+    planted = list(tweets)
+    for i, tweet in enumerate(tweets):
+        day_start = tweet.timestamp - tweet.timestamp % 86_400
+        counts = {
+            name: max(getattr(tweet, name) + rng.choice((-1, 0, 1)), 0)
+            for name in ("followers", "comments", "likes", "retweets")
+        }
+        if rng.random() < 0.4:
+            text = rng.choice(("RT " + tweet.text.upper(), f"@a {tweet.text} http://t.co/x"))
+            planted.append(tweet._replace(
+                id=f"d{i}", text=text, timestamp=day_start + rng.randrange(86_400), **counts
+            ))
+        if rng.random() < 0.2:
+            planted.append(tweet._replace(
+                id=f"e{i}", text=rng.choice(("RT", "@someone", "... #")),
+                timestamp=day_start + rng.randrange(86_400), **counts,
+            ))
+    rng.shuffle(planted)
+    return tuple(planted), series
+
+
+@pytest.mark.parametrize("attribute", [None, *Attribute])
+def test_day_signal_matches_the_staged_pipeline(attribute, lexicon):
+    for seed in (0, 1, 2):
+        tweets, series = planted_corpus(seed)
+        buckets = bucket_by_day(tweets, series)
+        kept = build_dataset(buckets, attribute).buckets
+        staged = daily_signals(clean_and_dedup(kept), lexicon)
+        one_pass = [day_signal(bucket, attribute, lexicon) for bucket in buckets]
+        assert [signal for signal, _ in one_pass] == list(staged)
+        assert [n for _, n in one_pass] == [len(b.tweets) for b in kept]
+        # The plants reach the kept half and are dropped there.
+        assert sum(s.tweet_count for s in staged) < sum(len(b.tweets) for b in kept)

@@ -77,7 +77,7 @@ def test_records_pass_the_validating_constructor():
             tweets, _ = gen_corpus(cfg)
             assert tweets
             for record in tweets:
-                assert record == TweetRecord(**vars(record))
+                assert record == TweetRecord(*record)
 
 
 def test_texts_are_already_normal_form(small_corpus):
