@@ -56,6 +56,8 @@ _FLOAT_KEYS = {
 }
 _STR_KEYS = {"state", "reward", "attribute", "format", "prices", "lexicon"}
 CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_ATTRIBUTES = [a.value for a in Attribute] + ["none"]
+_FORMATS = ["csv", "jsonl"]
 
 
 def load_run_config(path: str | Path) -> dict[str, int | float | str]:
@@ -113,9 +115,7 @@ def _attribute(opts: ChainMap) -> Attribute | None:
     try:
         return Attribute(name)
     except ValueError:
-        raise ConfigError(
-            f"unknown attribute {name!r}, expected followers|comments|likes|retweets|none"
-        ) from None
+        raise ConfigError(f"unknown attribute {name!r}, expected {'|'.join(_ATTRIBUTES)}") from None
 
 
 def _lexicon(opts: ChainMap) -> Lexicon:
@@ -169,11 +169,7 @@ def _cleaned_rows(buckets) -> tuple[corpus.DayBucket, ...]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     opts = _options(args)
-    # SynthConfig has no defaults for these three.
-    cfg = synth.SynthConfig(
-        **{"days": 100, "tweets_per_day": 50, "rho": 0.8, **_given(opts, synth.SynthConfig)}
-    )
-    tweets, series = synth.gen_corpus(cfg)
+    tweets, series = synth.gen_corpus(synth.SynthConfig(**_given(opts, synth.SynthConfig)))
     n = corpus.write_tweets(tweets, args.out_tweets, format=_format(opts))
     m = corpus.write_prices(series, args.out_prices)
     print(f"wrote {n} tweets to {args.out_tweets} and {m} prices to {args.out_prices}")
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, help="planted follower-signal strength in [0, 1]")
     p.add_argument("--base-price", type=float, dest="base_price")
     p.add_argument("--daily-vol", type=float, dest="daily_vol")
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out-tweets", required=True, dest="out_tweets")
     p.add_argument("--out-prices", required=True, dest="out_prices")
     p.set_defaults(func=cmd_synth)
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--tweets", required=True)
     p.add_argument("--prices", help="restrict to the price-series window")
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
@@ -373,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--tweets", required=True)
     p.add_argument("--prices")
-    p.add_argument("--attribute", choices=["followers", "comments", "likes", "retweets", "none"])
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--attribute", choices=_ATTRIBUTES)
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -383,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tweets", required=True)
     p.add_argument("--prices", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--attribute", choices=["followers", "comments", "likes", "retweets", "none"])
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--attribute", choices=_ATTRIBUTES)
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sentiment)
 
@@ -394,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", required=True)
     p.add_argument("--lexicon")
     p.add_argument("--reward", choices=list(qlearn.REWARD_KINDS))
-    p.add_argument("--attribute", choices=["followers", "comments", "likes", "retweets", "none"])
+    p.add_argument("--attribute", choices=_ATTRIBUTES)
     p.add_argument("--state", choices=list(qlearn.STATE_MODES))
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--log", help="write per-episode training log JSON here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tweets", required=True)
     p.add_argument("--prices", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -427,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop an approach once its held-out VAF reaches this")
     p.add_argument("--reward", choices=list(qlearn.REWARD_KINDS))
     p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out", help="write the full comparison report JSON here")
     p.set_defaults(func=cmd_compare)
 
@@ -439,10 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except SentiqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SentiqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,8 @@ logger = logging.getLogger(__name__)
 
 TWEET_FIELDS = ("id", "timestamp", "text", "followers", "comments", "likes", "retweets")
 _COUNT_FIELDS = ("followers", "comments", "likes", "retweets")
+_INT_FIELDS = ("timestamp", *_COUNT_FIELDS)
+_INT_INDEXES = tuple(TWEET_FIELDS.index(name) for name in _INT_FIELDS)
 _DAY_S = 86_400
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _tweet_fields = itemgetter(*TWEET_FIELDS)
@@ -79,9 +81,9 @@ class _TweetFields(NamedTuple):
 class TweetRecord(_TweetFields):
     """One raw tweet with its engagement counts.
 
-    A named tuple: ``TweetRecord(...)`` checks every field, and
-    ``TweetRecord._make(values)`` builds one from values that already pass
-    those checks without running them again.
+    A named tuple: ``TweetRecord(...)`` checks every field, the one
+    definition of a valid tweet, and ``TweetRecord._make(values)`` builds one
+    from values that already pass those checks without running them again.
     """
 
     __slots__ = ()
@@ -90,17 +92,27 @@ class TweetRecord(_TweetFields):
         cls, id: str, timestamp: int, text: str, followers: int, comments: int, likes: int,
         retweets: int,
     ) -> "TweetRecord":
-        if not id:
-            raise CorpusError("tweet id must be non-empty")
-        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-            raise CorpusError(f"tweet {id}: timestamp must be an integer")
+        if not isinstance(id, str) or not id:
+            raise CorpusError("field 'id': must be a non-empty string")
+        # One chained test passes the usual all-plain-int case; the loop then
+        # lets other int subclasses through and names the first non-integer.
+        if not (
+            int is type(timestamp) is type(followers) is type(comments) is type(likes)
+            is type(retweets)
+        ):
+            for name, value in zip(_INT_FIELDS, (timestamp, followers, comments, likes, retweets)):
+                if not isinstance(value, int) or value is True or value is False:
+                    raise CorpusError(f"field '{name}': not an integer: {value!r}")
+        if not isinstance(text, str) or not text or text.isspace():
+            raise CorpusError("field 'text': must be non-empty text")
+        if (followers | comments | likes | retweets) < 0:
+            counts = (followers, comments, likes, retweets)
+            name = next(name for name, value in zip(_COUNT_FIELDS, counts) if value < 0)
+            raise CorpusError(f"tweet {id}: {name} must be a non-negative integer")
         if not _MIN_TIMESTAMP <= timestamp <= _MAX_TIMESTAMP:
-            raise CorpusError(f"tweet {id}: timestamp outside years 1 to 9999")
-        if not text.strip():
-            raise CorpusError(f"tweet {id}: text is empty")
-        for name, value in zip(_COUNT_FIELDS, (followers, comments, likes, retweets)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise CorpusError(f"tweet {id}: {name} must be a non-negative integer")
+            raise CorpusError(
+                f"field 'timestamp': {timestamp} is outside the UTC days of years 1 to 9999"
+            )
         return tuple.__new__(cls, (id, timestamp, text, followers, comments, likes, retweets))
 
     def day(self) -> dt.date:
@@ -186,43 +198,24 @@ class TweetLoadResult:
     total_rows: int
 
 
-def _int_field(name: str, value) -> int:
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise CorpusError(f"field '{name}': not an integer: {value!r}")
-
-
 def _build_record(fields: Sequence) -> TweetRecord:
-    """One tweet from its fields in ``TWEET_FIELDS`` order, each converted and checked once.
+    """One tweet from a row's fields in ``TWEET_FIELDS`` order.
 
-    Raises :class:`CorpusError` without a location; the caller prefixes it.
+    Converts only what ingest allows (an integer id to its decimal string,
+    decimal strings in the integer fields to ``int``) and leaves every check
+    to ``TweetRecord(...)``, whose :class:`CorpusError` the caller prefixes
+    with the location.
     """
-    tweet_id, timestamp, text, followers, comments, likes, retweets = fields
-    if isinstance(tweet_id, int) and not isinstance(tweet_id, bool):
-        tweet_id = str(tweet_id)
-    if not isinstance(tweet_id, str) or not tweet_id:
-        raise CorpusError("field 'id': must be a non-empty string")
-    timestamp = _int_field("timestamp", timestamp)
-    followers = _int_field("followers", followers)
-    comments = _int_field("comments", comments)
-    likes = _int_field("likes", likes)
-    retweets = _int_field("retweets", retweets)
-    if not isinstance(text, str) or not text or text.isspace():
-        raise CorpusError("field 'text': must be non-empty text")
-    if followers < 0 or comments < 0 or likes < 0 or retweets < 0:
-        counts = (followers, comments, likes, retweets)
-        name = next(name for name, value in zip(_COUNT_FIELDS, counts) if value < 0)
-        raise CorpusError(f"tweet {tweet_id}: {name} must be a non-negative integer")
-    if not _MIN_TIMESTAMP <= timestamp <= _MAX_TIMESTAMP:
-        raise CorpusError(
-            f"field 'timestamp': {timestamp} is outside the UTC days of years 1 to 9999"
-        )
-    return TweetRecord._make((tweet_id, timestamp, text, followers, comments, likes, retweets))
+    fields = list(fields)
+    if isinstance(fields[0], int) and not isinstance(fields[0], bool):
+        fields[0] = str(fields[0])
+    for i in _INT_INDEXES:
+        if isinstance(fields[i], str):
+            try:
+                fields[i] = int(fields[i], 10)
+            except ValueError:
+                pass
+    return TweetRecord(*fields)
 
 
 def csv_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -295,9 +288,9 @@ def load_tweets(
     make = TweetRecord._make
     for lineno, fields in rows:
         total += 1
-        # A row passes this check only if _build_record accepts it with the
-        # same values; every other row goes through _build_record, which
-        # accepts it or names the field at fault.
+        # A row passes this check only if TweetRecord(...) accepts the same
+        # converted values; every other row goes through _build_record, whose
+        # TweetRecord(...) accepts it or names the field at fault.
         tweet_id, ts, text, followers, comments, likes, retweets = fields
         try:
             ts = ts if type(ts) is int else int(ts, 10)

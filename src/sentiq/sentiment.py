@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .attributes import Attribute, rank_and_halve
 from .corpus import DayBucket, _by_time_then_id
@@ -38,23 +39,9 @@ class DailySignal:
     tweet_count: int
 
 
-class Lexicon:
-    """Immutable token -> valence mapping."""
-
-    def __init__(self, entries: dict[str, float]):
-        self._entries = dict(entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._entries
-
-    def get(self, token: str) -> float | None:
-        return self._entries.get(token)
-
-    def items(self):
-        return self._entries.items()
+# An immutable token -> valence mapping: ``Lexicon(entries)`` is a read-only
+# view of the dict.
+Lexicon = MappingProxyType
 
 
 def _parse_lexicon(lines, where: str) -> Lexicon:

@@ -57,9 +57,9 @@ class SynthError(SentiqError):
 
 @dataclass(frozen=True)
 class SynthConfig:
-    days: int
-    tweets_per_day: int
-    rho: float
+    days: int = 100
+    tweets_per_day: int = 50
+    rho: float = 0.8
     base_price: float = 20_000.0
     daily_vol: float = 0.02
     seed: int = 0

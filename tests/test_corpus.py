@@ -80,6 +80,16 @@ def test_tweet_record_rejects_non_integer_fields():
         TweetRecord("t1", T0, "x", 0, 0, 0, True)
 
 
+def test_tweet_record_takes_int_subclasses_other_than_bool():
+    class Count(int):
+        pass
+
+    record = TweetRecord("t1", Count(T0), "x", Count(1), 0, Count(3), 0)
+    assert record == ("t1", T0, "x", 1, 0, 3, 0)
+    with pytest.raises(CorpusError, match="field 'likes': not an integer: False"):
+        TweetRecord("t1", Count(T0), "x", Count(1), 0, False, 0)
+
+
 def test_tweet_record_rejects_timestamps_outside_date_range():
     first = int(dt.datetime(1, 1, 1, tzinfo=dt.timezone.utc).timestamp())
     last = int(dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc).timestamp())
@@ -88,8 +98,50 @@ def test_tweet_record_rejects_timestamps_outside_date_range():
         dt.date.max,
     ]
     for ts in (first - 1, last + 1):
-        with pytest.raises(CorpusError, match="t1: timestamp outside years 1 to 9999"):
+        with pytest.raises(
+            CorpusError, match=rf"field 'timestamp': {ts} is outside .* years 1 to 9999"
+        ):
             make_tweet("t1", timestamp=ts)
+
+
+def test_tweet_record_checks_id_and_text_types():
+    for bad_id in (5, None, b"t1"):
+        with pytest.raises(CorpusError, match="field 'id'"):
+            TweetRecord(bad_id, T0, "x", 0, 0, 0, 0)
+    for bad_text in (None, 5, b"x", ["x"]):
+        with pytest.raises(CorpusError, match="field 'text'"):
+            TweetRecord("t1", T0, bad_text, 0, 0, 0, 0)
+
+
+VALID_FIELDS = {
+    "id": "t1", "timestamp": T0, "text": "x", "followers": 0, "comments": 0, "likes": 0,
+    "retweets": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"id": ""},
+        {"id": 1.5},
+        {"timestamp": "2021-03-01"},
+        {"timestamp": 1.5},
+        {"comments": True},
+        {"text": "   "},
+        {"text": None},
+        {"likes": -1},
+        {"timestamp": _MAX_TIMESTAMP + 1},
+    ],
+    ids=lambda fault: "-".join(f"{k}={v!r}" for k, v in fault.items()),
+)
+def test_tweet_record_and_ingest_give_the_same_message(tmp_path, fault):
+    fields = {**VALID_FIELDS, **fault}
+    with pytest.raises(CorpusError) as direct:
+        TweetRecord(**fields)
+    path = write_lines(tmp_path / "t.jsonl", [json.dumps(fields)])
+    with pytest.raises(CorpusError) as ingest:
+        load_tweets(path, format="jsonl")
+    assert str(ingest.value) == f"{path}:1: {direct.value}"
 
 
 def test_tweet_record_is_a_plain_named_tuple():
