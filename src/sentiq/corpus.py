@@ -7,8 +7,9 @@ File formats:
   the four trailing columns are non-negative integer engagement counts.
 * tweets (JSONL): one object per line with the same seven keys.
 * prices (CSV): header ``date,price``; ISO dates, one row per calendar day with
-  no gaps, strictly increasing; prices are positive and rounded to two fraction
-  digits (half away from zero) on ingest.
+  no gaps, strictly increasing (a row out of order or after a gap is an error
+  naming its line); prices are positive and rounded to two fraction digits
+  (half away from zero) on ingest.
 
 Day bucketing uses UTC calendar days throughout.
 """
@@ -119,60 +120,45 @@ class TweetRecord(_TweetFields):
         return day_of(self.timestamp)
 
 
-@dataclass(frozen=True)
-class PricePoint:
-    """Closing price for one calendar day."""
-
-    date: dt.date
-    price: float
-
-    def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise CorpusError(f"price on {self.date} must be positive, got {self.price}")
+def _nonpositive_price(day: dt.date, price: float) -> str:
+    return f"price on {day} must be positive, got {price}"
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Contiguous daily price series (strictly increasing dates, no gaps)."""
+    """Closing prices on consecutive UTC calendar days, the first on ``start``.
 
-    points: tuple[PricePoint, ...]
+    Day ``i`` is ``start + i`` days, so the days are contiguous by
+    construction; every price must be positive.
+    """
+
+    start: dt.date
+    prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.points:
+        if not self.prices:
             raise CorpusError("price series is empty")
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.date <= prev.date:
-                raise CorpusError(
-                    f"price dates not strictly increasing: {cur.date} after {prev.date}"
-                )
-            if (cur.date - prev.date).days != 1:
-                raise CorpusError(
-                    f"price series has a gap: missing {prev.date + dt.timedelta(days=1)}"
-                )
+        if self.start.toordinal() + len(self.prices) - 1 > dt.date.max.toordinal():
+            raise CorpusError(f"price series runs past {dt.date.max}")
+        for i, price in enumerate(self.prices):
+            if not price > 0:
+                raise CorpusError(_nonpositive_price(self.start + dt.timedelta(days=i), price))
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, index: int) -> PricePoint:
-        return self.points[index]
-
-    def __iter__(self) -> Iterator[PricePoint]:
-        return iter(self.points)
+        return len(self.prices)
 
     @property
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(p.date for p in self.points)
-
-    @property
-    def prices(self) -> tuple[float, ...]:
-        return tuple(p.price for p in self.points)
+        first = self.start.toordinal()
+        return tuple(map(dt.date.fromordinal, range(first, first + len(self.prices))))
 
     def window(self) -> tuple[dt.date, dt.date]:
         """Inclusive (first day, last day) span of the series."""
-        return self.points[0].date, self.points[-1].date
+        return self.start, self.start + dt.timedelta(days=len(self.prices) - 1)
 
     def slice(self, start: int, stop: int) -> "PriceSeries":
-        return PriceSeries(self.points[start:stop])
+        first = range(len(self.prices))[start:stop].start
+        return PriceSeries(self.start + dt.timedelta(days=first), self.prices[start:stop])
 
 
 @dataclass(frozen=True)
@@ -349,9 +335,13 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
 
 
 def load_prices(path: str | Path) -> PriceSeries:
-    """Load a daily price CSV (``date,price``), rounding prices on ingest."""
+    """Load a daily price CSV (``date,price``), rounding prices on ingest.
+
+    The one check of day order: each row must be the day after the row before.
+    """
     path = Path(path)
-    points: list[PricePoint] = []
+    start: dt.date | None = None
+    prices: list[float] = []
     for line, (day, price) in csv_rows(path, ("date", "price")):
         try:
             date = dt.date.fromisoformat(day)
@@ -361,14 +351,17 @@ def load_prices(path: str | Path) -> PriceSeries:
             value = round_price(price)
         except CorpusError:
             raise CorpusError(f"{path}:{line}: field 'price': not a number: {price!r}") from None
-        try:
-            points.append(PricePoint(date, value))
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{line}: {exc}") from None
-    try:
-        return PriceSeries(tuple(points))
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+        if not value > 0:
+            raise CorpusError(f"{path}:{line}: {_nonpositive_price(date, value)}")
+        if start is None:
+            start = date
+        expected = start + dt.timedelta(days=len(prices))
+        if date != expected:
+            raise CorpusError(f"{path}:{line}: field 'date': expected {expected}, got {date}")
+        prices.append(value)
+    if start is None:
+        raise CorpusError(f"{path}: price series is empty")
+    return PriceSeries(start, tuple(prices))
 
 
 def write_prices(series: PriceSeries, path: str | Path) -> int:
@@ -376,8 +369,8 @@ def write_prices(series: PriceSeries, path: str | Path) -> int:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "price"])
-        for point in series:
-            writer.writerow([point.date.isoformat(), f"{point.price:.2f}"])
+        for date, price in zip(series.dates, series.prices):
+            writer.writerow([date.isoformat(), f"{price:.2f}"])
     return len(series)
 
 
@@ -402,7 +395,7 @@ def bucket_by_day(records: Iterable[TweetRecord], series: PriceSeries) -> tuple[
     earlier via ``load_tweets(window=...)``.
     """
     dates = series.dates
-    start = _day_start(dates[0])
+    start = _day_start(series.start)
     by_day: list[list[TweetRecord]] = [[] for _ in dates]
     n_days = len(dates)
     for record in records:

@@ -8,8 +8,9 @@ A daemon thread wakes every ``interval`` seconds and records three channels:
 * ``mem_pct`` — this process's resident set size, percent of physical memory.
 
 ``stop`` returns a report with min/avg/max per channel plus the raw samples
-for plotting or CSV export. Sampling only reads OS counters, so its own
-footprint is negligible at sane intervals.
+for plotting or CSV export; its ``to_dict`` gives ``None`` for each channel of
+a session that ended before its first sample. Sampling only reads OS
+counters, so its own footprint is negligible at sane intervals.
 
 CPU comes from ``time.process_time`` on every platform. Memory comes from
 ``/proc/meminfo`` and ``/proc/self/statm`` where they exist (Linux); other
@@ -66,9 +67,9 @@ class ResourceReport:
 
     def to_dict(self) -> dict:
         return {
-            "cpu_pct": vars(self.cpu).copy(),
-            "ram_pct": vars(self.ram).copy(),
-            "mem_pct": vars(self.mem).copy(),
+            "cpu_pct": vars(self.cpu).copy() if self.sample_count else None,
+            "ram_pct": vars(self.ram).copy() if self.sample_count else None,
+            "mem_pct": vars(self.mem).copy() if self.sample_count else None,
             "sample_count": self.sample_count,
             "wall_seconds": self.wall_seconds,
             "interval": self.interval,

@@ -33,6 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .attributes import Attribute
 from .corpus import PriceSeries, round_price
 from .errors import AlignmentError, ModelFormatError, SentiqError
 from .sentiment import DailySignal
@@ -51,6 +52,7 @@ SDR = "sdr"
 RDR = "rdr"
 CDR = "cdr"
 REWARD_KINDS = (SDR, RDR, CDR)
+_ATTRIBUTE_NAMES = tuple(a.value for a in Attribute)
 
 
 @dataclass(frozen=True)
@@ -294,9 +296,9 @@ def _check_alignment(prices: PriceSeries, signals: Sequence[DailySignal], min_le
         raise AlignmentError(
             f"signals cover {len(signals)} days but prices cover {len(prices)}"
         )
-    for point, signal in zip(prices, signals):
-        if point.date != signal.date:
-            raise AlignmentError(f"signal date {signal.date} does not match price date {point.date}")
+    for date, signal in zip(prices.dates, signals):
+        if date != signal.date:
+            raise AlignmentError(f"signal date {signal.date} does not match price date {date}")
     if len(prices) < min_len:
         raise AlignmentError(f"need at least {min_len} aligned days, got {len(prices)}")
 
@@ -321,13 +323,13 @@ def training_days(
 ) -> TrainingDays:
     """Discretize each day once on ``cfg``'s grid, for one training run or prediction pass.
 
-    Every price is checked here, once per run: :class:`~sentiq.corpus.PricePoint`
+    Every price is checked here, once per run: :class:`~sentiq.corpus.PriceSeries`
     holds it positive and :func:`discretize_state` inside the grid's range.
     """
     index: dict[State, int] = {}
     rows = tuple(
-        index.setdefault(discretize_state(point.price, signal.mean_compound, cfg), len(index))
-        for point, signal in zip(prices, signals)
+        index.setdefault(discretize_state(price, signal.mean_compound, cfg), len(index))
+        for price, signal in zip(prices.prices, signals)
     )
     return TrainingDays(prices.prices, tuple(index), rows, tuple({} for _ in rows))
 
@@ -487,6 +489,11 @@ def load_model(path: str | Path) -> QModel:
             cfg = AgentConfig(**meta["agent"])
         except (ValueError, KeyError, TypeError, QLearnError) as exc:
             raise ModelFormatError(f"{path}: bad config block: {exc}") from None
+        for name, known in (("reward", REWARD_KINDS), ("attribute", _ATTRIBUTE_NAMES)):
+            if meta.get(name) not in (None, *known):
+                raise ModelFormatError(
+                    f"{path}: unknown {name} {meta[name]!r}, expected one of {known}"
+                )
         shape = struct.unpack("<III", shape_bytes)
         expected = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
         if shape != expected:

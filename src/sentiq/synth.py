@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PricePoint, PriceSeries, TweetRecord, round_price
+from .corpus import _DAY_S, PriceSeries, TweetRecord, _day_start, round_price
 from .errors import SentiqError
 from .sentiment import builtin_lexicon
 
@@ -100,13 +100,10 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
     half = _RETURN_TRIALS // 2
     z = rng.binomial(_RETURN_TRIALS, 0.5, size=days - 1) - half
     step_pct = 200.0 * cfg.daily_vol / math.sqrt(_RETURN_TRIALS)
-    points = []
-    price = max(round_price(cfg.base_price), 0.01)
-    points.append(PricePoint(_START, price))
+    prices = [max(round_price(cfg.base_price), 0.01)]
     for d in range(1, days):
-        price = max(round_price(price * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01)
-        points.append(PricePoint(_START + dt.timedelta(days=d), price))
-    series = PriceSeries(tuple(points))
+        prices.append(max(round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
+    series = PriceSeries(_START, tuple(prices))
 
     # Latent daily factor: correlated with the standardized next-day move.
     eta = rng.normal(0.0, 1.0, days)
@@ -115,11 +112,10 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
     factor[days - 1] = eta[days - 1]
 
     mild_valences, mild_tokens, strong_pos, strong_neg = _token_tables()
-    utc = dt.timezone.utc
     tweets: list[TweetRecord] = []
     counter = 0
     for d in range(days):
-        day_start = int(dt.datetime.combine(series[d].date, dt.time(), tzinfo=utc).timestamp())
+        day_start = _day_start(_START) + d * _DAY_S
         offsets = rng.integers(0, 86_400, size=per_day)
 
         target = _SIGNAL_SLOPE * factor[d] + rng.normal(

@@ -12,7 +12,7 @@ import numpy as np
 
 import sentiq
 from sentiq.attributes import Attribute, build_dataset
-from sentiq.corpus import PricePoint, PriceSeries, TweetRecord, bucket_by_day
+from sentiq.corpus import PriceSeries, TweetRecord, bucket_by_day
 from sentiq.preprocess import clean_and_dedup
 from sentiq.sentiment import DailySignal, daily_signals
 
@@ -42,12 +42,7 @@ def make_tweet(
 
 
 def make_series(prices, start: dt.date = D0) -> PriceSeries:
-    return PriceSeries(
-        tuple(
-            PricePoint(start + dt.timedelta(days=i), float(p))
-            for i, p in enumerate(prices)
-        )
-    )
+    return PriceSeries(start, tuple(float(p) for p in prices))
 
 
 def make_signals(series: PriceSeries, compounds) -> tuple[DailySignal, ...]:

@@ -8,7 +8,7 @@ from sentiq.attributes import Attribute, build_dataset
 from sentiq.cli import build_parser
 from sentiq.corpus import bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
-from sentiq.qlearn import load_model
+from sentiq.qlearn import AgentConfig, QModel, load_model, save_model
 from sentiq.sentiment import builtin_lexicon, daily_signals, day_signal
 
 
@@ -382,6 +382,21 @@ def test_train_then_predict_round_trip(cli_corpus, agent_cfg_file):
     for date_str, price_str in rows:
         assert float(price_str) >= 0.0
         assert len(date_str) == 10
+
+
+def test_predict_on_a_model_with_an_unknown_attribute_exits_1(cli_corpus, tmp_path):
+    root, tweets, prices = cli_corpus
+    model_path = tmp_path / "typo.bin"
+    model = QModel.zeros(AgentConfig(action_min=0, action_max=1), attribute="folowers")
+    save_model(model, model_path)
+    code, _, err = run_cli(
+        ["predict", "--model", model_path, "--tweets", tweets, "--prices", prices,
+         "--out", tmp_path / "p.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 1
+    assert err.startswith(f"error: {model_path}: unknown attribute 'folowers'")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_train_config_file_seed_applies_without_flag(cli_corpus, agent_cfg_file):

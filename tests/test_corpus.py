@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import json
 import logging
@@ -14,7 +15,6 @@ from sentiq.corpus import (
     _MIN_TIMESTAMP,
     TWEET_FIELDS,
     CorpusError,
-    PricePoint,
     PriceSeries,
     TweetRecord,
     _build_record,
@@ -152,33 +152,30 @@ def test_tweet_record_is_a_plain_named_tuple():
     assert (record.id, record.timestamp, record.day()) == ("t1", T0, D0)
 
 
-def test_price_point_must_be_positive():
-    with pytest.raises(CorpusError):
-        PricePoint(D0, 0.0)
-    with pytest.raises(CorpusError):
-        PricePoint(D0, -5.0)
-
-
-def test_price_series_rejects_gap_and_disorder():
-    a = PricePoint(D0, 1.0)
-    c = PricePoint(D0 + dt.timedelta(days=2), 1.0)
-    with pytest.raises(CorpusError, match=str(D0 + dt.timedelta(days=1))):
-        PriceSeries((a, c))
-    with pytest.raises(CorpusError, match="strictly increasing"):
-        PriceSeries((c, a))
-    with pytest.raises(CorpusError, match="strictly increasing"):
-        PriceSeries((a, a))
-    with pytest.raises(CorpusError):
-        PriceSeries(())
+def test_price_series_prices_must_be_positive():
+    for bad in (0.0, -5.0, float("nan")):
+        with pytest.raises(CorpusError, match=f"price on {D0 + dt.timedelta(days=1)} must be pos"):
+            PriceSeries(D0, (1.0, bad))
+    with pytest.raises(CorpusError, match="empty"):
+        PriceSeries(D0, ())
+    assert PriceSeries(dt.date.max, (1.0,)).window() == (dt.date.max, dt.date.max)
+    with pytest.raises(CorpusError, match="runs past 9999-12-31"):
+        PriceSeries(dt.date.max, (1.0, 2.0))
 
 
 def test_price_series_accessors():
     series = make_series([10.0, 11.0, 12.0])
+    assert [f.name for f in dataclasses.fields(PriceSeries)] == ["start", "prices"]
+    assert series == PriceSeries(D0, (10.0, 11.0, 12.0))
     assert len(series) == 3
-    assert series[1].price == 11.0
+    assert series.dates == tuple(D0 + dt.timedelta(days=i) for i in range(3))
     assert series.window() == (D0, D0 + dt.timedelta(days=2))
-    assert series.slice(1, 3).dates == (D0 + dt.timedelta(days=1), D0 + dt.timedelta(days=2))
+    assert series.slice(1, 3) == PriceSeries(D0 + dt.timedelta(days=1), (11.0, 12.0))
+    assert series.slice(-2, 3) == series.slice(1, 3)
+    assert series.slice(0, 9) == series
     assert series.prices == (10.0, 11.0, 12.0)
+    with pytest.raises(CorpusError, match="empty"):
+        series.slice(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +374,7 @@ def test_load_prices_basic(tmp_path):
 
 def test_load_prices_gap_names_missing_day(tmp_path):
     path = write_lines(tmp_path / "p.csv", ["date,price", "2021-03-01,100.00", "2021-03-03,120.00"])
-    with pytest.raises(CorpusError, match="2021-03-02"):
+    with pytest.raises(CorpusError, match=r"p\.csv:3: field 'date': expected 2021-03-02, got 2021-03-03"):
         load_prices(path)
 
 
@@ -387,15 +384,25 @@ def test_load_prices_rounds_on_ingest(tmp_path):
 
 
 def test_load_prices_errors(tmp_path):
-    nonpos = write_lines(tmp_path / "a.csv", ["date,price", "2021-03-01,0"])
-    with pytest.raises(CorpusError, match="positive"):
+    nonpos = write_lines(tmp_path / "a.csv", ["date,price", "2021-03-01,1", "2021-03-02,0.004"])
+    with pytest.raises(CorpusError, match=r":3: price on 2021-03-02 must be positive"):
         load_prices(nonpos)
 
     unordered = write_lines(
         tmp_path / "b.csv", ["date,price", "2021-03-02,1", "2021-03-01,2"]
     )
-    with pytest.raises(CorpusError, match="strictly increasing"):
+    with pytest.raises(CorpusError, match=r":3: field 'date': expected 2021-03-03, got 2021-03-01"):
         load_prices(unordered)
+
+    duplicate = write_lines(
+        tmp_path / "f.csv", ["date,price", "2021-03-01,1", "", "2021-03-02,1", "2021-03-02,2"]
+    )
+    with pytest.raises(CorpusError, match=r":5: field 'date': expected 2021-03-03, got 2021-03-02"):
+        load_prices(duplicate)
+
+    empty = write_lines(tmp_path / "g.csv", ["date,price"])
+    with pytest.raises(CorpusError, match=r"g\.csv: price series is empty"):
+        load_prices(empty)
 
     bad_date = write_lines(tmp_path / "c.csv", ["date,price", "marchish,1"])
     with pytest.raises(CorpusError, match=r":2: .*not an ISO date"):

@@ -36,6 +36,12 @@ def test_stop_before_first_sample_yields_empty_report():
     assert report.wall_seconds >= 0.0
 
 
+def test_empty_session_serializes_channels_as_null():
+    payload = json.loads(stop(start(interval=5.0)).to_json())
+    assert payload["sample_count"] == 0
+    assert (payload["cpu_pct"], payload["ram_pct"], payload["mem_pct"]) == (None, None, None)
+
+
 def test_session_samples_at_roughly_the_requested_interval():
     interval = 0.05
     handle = start(interval=interval)

@@ -486,7 +486,7 @@ def reference_episode(model, prices, states, kind, epsilon, rng):
 def reference_train(series, signals, kind, cfg):
     model = QModel.zeros(cfg, reward=kind)
     rng = np.random.default_rng(cfg.seed)
-    states = [discretize_state(p.price, s.mean_compound, cfg) for p, s in zip(series, signals)]
+    states = [discretize_state(p, s.mean_compound, cfg) for p, s in zip(series.prices, signals)]
     epsilons = tuple(epsilon_at(cfg, e) for e in range(cfg.episodes))
     means = tuple(
         reference_episode(model, series.prices, states, kind, epsilon, rng) for epsilon in epsilons
@@ -543,7 +543,7 @@ def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
     planted = np.random.default_rng(3).integers(-3, 1, size=(2, 3, 9)).astype(float)
     model, want = QModel(cfg, planted.copy()), QModel(cfg, planted.copy())
     days = training_days(series, signals, cfg)
-    states = [discretize_state(p.price, s.mean_compound, cfg) for p, s in zip(series, signals)]
+    states = [discretize_state(p, s.mean_compound, cfg) for p, s in zip(series.prices, signals)]
     rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
     for episode in range(cfg.episodes):
         epsilon = epsilon_at(cfg, episode)
@@ -729,3 +729,20 @@ def test_load_rejects_shape_mismatch(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError, match="shape"):
         load_model(path)
+
+
+def test_load_rejects_unknown_attribute_and_reward(tmp_path):
+    cfg = AgentConfig(action_min=0, action_max=1)
+    path = tmp_path / "m.bin"
+    for reward, attribute, field in (
+        ("xdr", None, "reward"),
+        (5, "likes", "reward"),
+        (SDR, "folowers", "attribute"),
+        (None, "", "attribute"),
+        (None, ["followers"], "attribute"),
+    ):
+        save_model(QModel.zeros(cfg, reward=reward, attribute=attribute), path)
+        with pytest.raises(ModelFormatError, match=rf"m\.bin: unknown {field} "):
+            load_model(path)
+    save_model(QModel.zeros(cfg), path)
+    assert (load_model(path).reward, load_model(path).attribute) == (None, None)
