@@ -14,12 +14,10 @@ from sentiq import (
     Attribute,
     SynthConfig,
     bucket_by_day,
-    build_dataset,
     builtin_lexicon,
     chronological_split,
     clean,
-    clean_and_dedup,
-    daily_signals,
+    day_signal,
     evaluate,
     gen_corpus,
     predict_series,
@@ -41,18 +39,16 @@ messy = "Soooooo BULLISH!!!! Buy the dip @BigWhale42 https://t.co/xyz #ToTheMoon
 print(f"messy text   : {messy!r}")
 print(f"cleaned text : {clean(messy)!r}")
 
-# Bucket by calendar day and keep each day's top half by follower count,
-# ceil(n/2) tweets per day, ranked on the raw records.
-dataset = build_dataset(bucket_by_day(tweets, series), Attribute.FOLLOWERS)
-print(f"kept {dataset.total_tweets} of {len(tweets)} tweets after follower filtering")
-
-# Clean only the kept texts and drop same-day duplicates: the half the
-# filter dropped is never cleaned.
-buckets = clean_and_dedup(dataset.buckets)
-
-# One number per day: the mean sentiment compound of the surviving tweets.
+# Bucket by calendar day, then run the pipeline's one per-day stage: keep
+# the day's top half by follower count (ceil(n/2) tweets, ranked on the raw
+# records), clean only those texts, drop same-day duplicates, and reduce the
+# day to one number, the mean sentiment compound of the survivors. It also
+# returns how many tweets the filter kept.
 lexicon = builtin_lexicon()
-signals = daily_signals(buckets, lexicon)
+days = [day_signal(day, Attribute.FOLLOWERS, lexicon) for day in bucket_by_day(tweets, series)]
+signals = [signal for signal, _ in days]
+kept = sum(n for _, n in days)
+print(f"kept {kept} of {len(tweets)} tweets after follower filtering")
 print(f"day 0 signal: {signals[0].mean_compound:+.4f} from {signals[0].tweet_count} tweets")
 
 # Chronological 70/30 split. The held-out tail starts on the last training

@@ -23,11 +23,9 @@ from sentiq import (
     Attribute,
     SynthConfig,
     bucket_by_day,
-    build_dataset,
     builtin_lexicon,
     chronological_split,
-    clean_and_dedup,
-    daily_signals,
+    day_signal,
     gen_corpus,
     predict_series,
     reward_cdr,
@@ -51,8 +49,10 @@ print()
 
 # Same corpus, same follower filtering, same signals for all three runs.
 tweets, series = gen_corpus(SynthConfig(days=1000, tweets_per_day=200, rho=0.8, seed=0))
-dataset = build_dataset(bucket_by_day(tweets, series), Attribute.FOLLOWERS)
-signals = daily_signals(clean_and_dedup(dataset.buckets), builtin_lexicon())
+lexicon = builtin_lexicon()
+signals = [
+    day_signal(day, Attribute.FOLLOWERS, lexicon)[0] for day in bucket_by_day(tweets, series)
+]
 train_prices, train_signals, test_prices, test_signals = chronological_split(
     series, signals, 0.7
 )

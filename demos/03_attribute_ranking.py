@@ -7,10 +7,10 @@ count, likes, or retweets — or skip filtering entirely. On a corpus whose
 planted signal rides on the high-follower tweets, follower filtering
 should concentrate the signal while the other attributes select a
 near-random half. Each day's raw tweets are ranked first, and only the
-kept half is cleaned, deduplicated and scored, as the CLI does. This demo
-measures that two ways: the correlation between each filtered signal
-series and the next day's log return, and the held-out accuracy of a
-model trained on each series.
+kept half is cleaned, deduplicated and scored (``day_signal``, the stage
+the CLI runs). This demo measures that two ways: the correlation between
+each filtered signal series and the next day's log return, and the
+held-out accuracy of a model trained on each series.
 """
 
 import numpy as np
@@ -21,11 +21,9 @@ from sentiq import (
     Attribute,
     SynthConfig,
     bucket_by_day,
-    build_dataset,
     builtin_lexicon,
     chronological_split,
-    clean_and_dedup,
-    daily_signals,
+    day_signal,
     gen_corpus,
     predict_series,
     train,
@@ -57,8 +55,7 @@ choices = [
 
 print(f"{'filter':12s} {'signal/return corr':>18s} {'held-out VAF %':>15s}")
 for attribute in choices:
-    kept = build_dataset(buckets, attribute).buckets
-    signals = daily_signals(clean_and_dedup(kept), lexicon)
+    signals = [day_signal(day, attribute, lexicon)[0] for day in buckets]
 
     # Does the day's mean compound anticipate the next day's move?
     compound = np.array([s.mean_compound for s in signals])[:-1]

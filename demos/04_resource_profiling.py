@@ -44,11 +44,13 @@ time.sleep(2.0)
 idle = profiler.stop(handle)
 show("sleeping ", idle)
 
-# The raw samples serialize to CSV for plotting or archiving.
-out = Path(tempfile.mkdtemp()) / "busy_samples.csv"
-busy.write_samples_csv(out)
-lines = out.read_text(encoding="utf-8").splitlines()
-print()
-print(f"wrote {len(lines) - 1} samples to {out}")
-for line in lines[:4]:
-    print(f"  {line}")
+# The raw samples serialize to CSV for plotting or archiving; this one goes
+# to a temporary directory that is removed once it has been shown.
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "busy_samples.csv"
+    busy.write_samples_csv(out)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    print()
+    print(f"wrote {len(lines) - 1} samples to {out}")
+    for line in lines[:4]:
+        print(f"  {line}")

@@ -137,16 +137,16 @@ class ApproachResult:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    mode: str
-    budget_seconds: float | None
+    """Both approaches' results; ``seconds`` bounded each one, with or without a target."""
+
+    seconds: float
     target_vaf: float | None
     classic: ApproachResult
     proposed: ApproachResult
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
-            "budget_seconds": self.budget_seconds,
+            "seconds": self.seconds,
             "target_vaf": self.target_vaf,
             "classic": self.classic.to_dict(),
             "proposed": self.proposed.to_dict(),
@@ -189,9 +189,7 @@ def _run_approach(
         utilized += n
 
     agent = cfg.agent
-    model = QModel.zeros(
-        agent, reward=cfg.reward, attribute=attribute.value if attribute else None
-    )
+    model = QModel.zeros(agent, reward=cfg.reward, attribute=attribute)
     episodes_run = 0
     converged: bool | None = None
     predictions: tuple[float, ...] = ()
@@ -245,6 +243,4 @@ def compare(
     """
     classic = _run_approach("classic", records, series, lexicon, cfg, clock)
     proposed = _run_approach("proposed", records, series, lexicon, cfg, clock)
-    if cfg.target_vaf is None:
-        return ComparisonReport("fixed_time", cfg.seconds, None, classic, proposed)
-    return ComparisonReport("to_target", None, cfg.target_vaf, classic, proposed)
+    return ComparisonReport(cfg.seconds, cfg.target_vaf, classic, proposed)

@@ -40,7 +40,7 @@ from .errors import ConfigError, CorpusError, SentiqError
 from .metrics import evaluate
 # The signal path calls day_signal; daily_signals stays importable here
 # because perfbench's tracer (perfbench/tracing.py) wraps cli.daily_signals
-# and cli.build_dataset by name.
+# by name, as it wraps cli.build_dataset, which split calls.
 from .sentiment import Lexicon, builtin_lexicon, daily_signals, day_signal, load_lexicon
 
 logger = logging.getLogger(__name__)
@@ -226,9 +226,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _agent_config(opts)
     reward = opts.get("reward", qlearn.CDR)
     series, signals = _signal_pipeline(opts, attribute)
-    model, log = qlearn.train(
-        series, signals, reward, cfg, attribute=attribute.value if attribute else None
-    )
+    model, log = qlearn.train(series, signals, reward, cfg, attribute=attribute)
     qlearn.save_model(model, args.out)
     if args.log:
         Path(args.log).write_text(
@@ -250,8 +248,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     opts = _options(args)
     model = qlearn.load_model(args.model)
-    attribute = Attribute(model.attribute) if model.attribute else None
-    series, signals = _signal_pipeline(opts, attribute)
+    series, signals = _signal_pipeline(opts, model.attribute)
     predictions = qlearn.predict_series(model, series, signals)
     with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

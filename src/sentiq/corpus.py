@@ -165,10 +165,12 @@ class PriceSeries:
 class DayBucket:
     """The tweets of one UTC calendar day.
 
-    ``tweets`` holds raw :class:`TweetRecord` objects after :func:`bucket_by_day`
-    (in (timestamp, id) order) and after attribute filtering (in rank order:
-    attribute descending, then timestamp, then id), and ``CleanTweet`` objects
-    after :func:`sentiq.preprocess.clean_buckets`.
+    ``tweets`` holds raw :class:`TweetRecord` objects in (timestamp, id)
+    order after :func:`bucket_by_day`, the input of the signal stage
+    :func:`sentiq.sentiment.day_signal`. On the staged path that ``split``
+    and ``preprocess`` run, it holds records in rank order (attribute
+    descending, then timestamp, then id) after attribute filtering, and
+    ``CleanTweet`` objects after :func:`sentiq.preprocess.clean_buckets`.
     """
 
     date: dt.date

@@ -87,29 +87,19 @@ class CleanTweet:
     clean_text: str
 
 
-def clean_bucket(bucket: DayBucket) -> tuple[DayBucket, int]:
-    """Clean every tweet of a day; drops tweets whose text cleans to empty.
-
-    Returns the cleaned bucket and the number of dropped-empty tweets.
-    """
-    kept: list[CleanTweet] = []
-    dropped = 0
-    for tweet in bucket.tweets:
-        text = clean(tweet.text)
-        if not text:
-            dropped += 1
-            continue
-        kept.append(CleanTweet(tweet, text))
-    return DayBucket(bucket.date, tuple(kept)), dropped
-
-
 def clean_buckets(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
+    """Clean every tweet of each day; drops tweets whose text cleans to empty."""
     cleaned = []
     dropped = 0
     for bucket in buckets:
-        out, n = clean_bucket(bucket)
-        cleaned.append(out)
-        dropped += n
+        kept: list[CleanTweet] = []
+        for tweet in bucket.tweets:
+            text = clean(tweet.text)
+            if text:
+                kept.append(CleanTweet(tweet, text))
+            else:
+                dropped += 1
+        cleaned.append(DayBucket(bucket.date, tuple(kept)))
     if dropped:
         logger.warning("dropped %d tweets whose text cleaned to empty", dropped)
     return tuple(cleaned)

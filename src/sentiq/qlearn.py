@@ -230,10 +230,12 @@ class QModel:
     config: AgentConfig
     table: np.ndarray
     reward: str | None = None
-    attribute: str | None = None
+    attribute: Attribute | None = None
 
     @classmethod
-    def zeros(cls, cfg: AgentConfig, reward: str | None = None, attribute: str | None = None) -> "QModel":
+    def zeros(
+        cls, cfg: AgentConfig, reward: str | None = None, attribute: Attribute | None = None
+    ) -> "QModel":
         shape = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
         return cls(cfg, np.zeros(shape, dtype=np.float64), reward, attribute)
 
@@ -412,7 +414,7 @@ def train(
     signals: Sequence[DailySignal],
     kind: str,
     cfg: AgentConfig,
-    attribute: str | None = None,
+    attribute: Attribute | None = None,
 ) -> tuple[QModel, TrainLog]:
     """Train a fresh model on an aligned price/signal history.
 
@@ -501,4 +503,5 @@ def load_model(path: str | Path) -> QModel:
         table = np.empty(shape, dtype="<f8")
         if handle.readinto(memoryview(table).cast("B")) != table.nbytes or handle.read(1):
             raise ModelFormatError(f"{path}: truncated model file")
-    return QModel(cfg, table, meta.get("reward"), meta.get("attribute"))
+    attribute = None if meta.get("attribute") is None else Attribute(meta["attribute"])
+    return QModel(cfg, table, meta.get("reward"), attribute)

@@ -100,18 +100,16 @@ def score(text: str, lexicon: Lexicon) -> float:
     return compound_of(total)
 
 
-def daily_signal(bucket: DayBucket, lexicon: Lexicon) -> DailySignal:
-    """Unweighted mean compound over a day's tweets; empty day -> (0, 0)."""
-    if not bucket.tweets:
-        return DailySignal(bucket.date, 0.0, 0)
-    total = 0.0
-    for tweet in bucket.tweets:
-        total += score(tweet.clean_text, lexicon)
-    return DailySignal(bucket.date, total / len(bucket.tweets), len(bucket.tweets))
-
-
 def daily_signals(buckets: tuple[DayBucket, ...], lexicon: Lexicon) -> tuple[DailySignal, ...]:
-    return tuple(daily_signal(bucket, lexicon) for bucket in buckets)
+    """Unweighted mean compound over each day's cleaned tweets; an empty day is (0, 0)."""
+    signals = []
+    for bucket in buckets:
+        total = 0.0
+        for tweet in bucket.tweets:
+            total += score(tweet.clean_text, lexicon)
+        n = len(bucket.tweets)
+        signals.append(DailySignal(bucket.date, total / n if n else 0.0, n))
+    return tuple(signals)
 
 
 def day_signal(
@@ -119,11 +117,14 @@ def day_signal(
 ) -> tuple[DailySignal, int]:
     """One day's signal from its raw records, and how many records the filter kept.
 
-    The same signal as ranking with :func:`~sentiq.attributes.build_dataset`,
-    then :func:`~sentiq.preprocess.clean_and_dedup` and :func:`daily_signal`,
-    in one pass: the kept records are taken in (timestamp, id) order, and each
-    text is cleaned, dropped when empty or already seen that day (the first
-    one wins) and scored.
+    This is the pipeline's signal stage: the CLI, :func:`sentiq.bench.compare`
+    and the demos run it over :func:`~sentiq.corpus.bucket_by_day`. The day's
+    top half by ``attribute`` (all of it for ``None``) is taken in
+    (timestamp, id) order, and each text is cleaned, dropped when empty or
+    already seen that day (the first one wins) and scored. The staged
+    :func:`~sentiq.attributes.build_dataset`,
+    :func:`~sentiq.preprocess.clean_and_dedup` and :func:`daily_signals`
+    give the same signal; ``split`` and ``preprocess`` use those stages.
     """
     if attribute is not None:
         bucket = rank_and_halve(bucket, attribute)

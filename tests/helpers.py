@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 
 import sentiq
-from sentiq.attributes import Attribute, build_dataset
+from sentiq.attributes import Attribute
 from sentiq.corpus import PriceSeries, TweetRecord, bucket_by_day
-from sentiq.preprocess import clean_and_dedup
-from sentiq.sentiment import DailySignal, daily_signals
+from sentiq.sentiment import DailySignal, day_signal
 
 SRC_DIR = str(Path(sentiq.__file__).resolve().parent.parent)
 D0 = dt.date(2021, 3, 1)
@@ -52,9 +51,8 @@ def make_signals(series: PriceSeries, compounds) -> tuple[DailySignal, ...]:
 
 
 def attribute_signal_series(tweets, series, lexicon, attribute: Attribute | None):
-    """Bucket, keep each day's top half of the raw tweets, clean+dedup, daily signals."""
-    kept = build_dataset(bucket_by_day(tweets, series), attribute).buckets
-    return daily_signals(clean_and_dedup(kept), lexicon)
+    """Each series day's signal from the pipeline's per-day stage, ``day_signal``."""
+    return [day_signal(day, attribute, lexicon)[0] for day in bucket_by_day(tweets, series)]
 
 
 def signal_return_correlation(tweets, series, lexicon, attribute: Attribute | None) -> float:

@@ -21,11 +21,11 @@ import pytest
 import oracles
 from helpers import run_cli
 from test_preprocess import assert_clean_invariants
-from sentiq.attributes import Attribute, build_dataset
+from sentiq.attributes import Attribute
 from sentiq.bench import BenchConfig, chronological_split, compare
 from sentiq.corpus import bucket_by_day, load_tweets
 from sentiq.metrics import evaluate, mape, nse, r2, rmse, vaf, wmape
-from sentiq.preprocess import clean, clean_and_dedup
+from sentiq.preprocess import clean
 from sentiq.profiler import start as profiler_start, stop as profiler_stop
 from sentiq.qlearn import (
     CDR,
@@ -43,7 +43,7 @@ from sentiq.qlearn import (
     train,
     zero_reward_points,
 )
-from sentiq.sentiment import daily_signals
+from sentiq.sentiment import day_signal
 from sentiq.synth import SynthConfig, gen_corpus
 
 ATTRIBUTES = (
@@ -290,8 +290,7 @@ def test_acceptance_05_planted_signal_recovery(capsys, lexicon, planted_corpora)
         scores = {}
         for attribute in ATTRIBUTES:
             # Rank the raw tweets, then clean, dedup and score the kept half.
-            kept = build_dataset(buckets, attribute).buckets
-            signals = daily_signals(clean_and_dedup(kept), lexicon)
+            signals = [day_signal(day, attribute, lexicon)[0] for day in buckets]
             if seed == 0 and attribute is Attribute.FOLLOWERS:
                 # Sanity: the planted follower signal is strong but not perfect.
                 compounds = np.array([s.mean_compound for s in signals])[:-1]

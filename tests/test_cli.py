@@ -4,12 +4,12 @@ import json
 import pytest
 
 from helpers import attribute_signal_series, run_cli
-from sentiq.attributes import Attribute, build_dataset
+from sentiq.attributes import Attribute
 from sentiq.cli import build_parser
 from sentiq.corpus import bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
 from sentiq.qlearn import AgentConfig, QModel, load_model, save_model
-from sentiq.sentiment import builtin_lexicon, daily_signals, day_signal
+from sentiq.sentiment import builtin_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,40 @@ def test_split_writes_each_day_in_rank_order(tmp_path):
         assert followers == sorted(followers, reverse=True)
 
 
+def test_preprocess_and_split_without_prices_use_each_tweets_own_day(tmp_path):
+    # Two UTC days with an empty day between them. On the first day "b"
+    # duplicates the earlier "a" once cleaned and "c" cleans to empty; the
+    # third day repeats "a"'s text, which is no duplicate on another day.
+    day3 = 1_614_556_800 + 2 * 86_400
+    tweets = [
+        ("a", 1_614_556_810, "Buy BTC now", 5),
+        ("b", 1_614_556_820, "buy   btc NOW", 9),
+        ("c", 1_614_556_830, "@someone", 7),
+        ("d", 1_614_556_840, "Quiet day", 1),
+        ("e", day3 + 5, "buy btc now", 3),
+        ("f", day3 + 6, "Moon soon!!!!", 8),
+    ]
+    rows = ["id,timestamp,text,followers,comments,likes,retweets"]
+    rows += [f"{tid},{ts},{text},{followers},0,0,0" for tid, ts, text, followers in tweets]
+    (tmp_path / "tweets.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for stage in (
+        ["preprocess", "--tweets", "tweets.csv", "--out", "cleaned.csv"],
+        ["split", "--tweets", "tweets.csv", "--attribute", "followers", "--out", "split.csv"],
+    ):
+        code, _, err = run_cli(stage, cwd=tmp_path)
+        assert code == 0, err
+
+    cleaned = load_tweets(tmp_path / "cleaned.csv").records
+    assert [(r.id, r.text) for r in cleaned] == [
+        ("a", "buy btc now"), ("d", "quiet day"), ("e", "buy btc now"), ("f", "moon soon!!!"),
+    ]
+    # Each day keeps ceil(n/2) of its cleaned tweets, the most followed first.
+    split = load_tweets(tmp_path / "split.csv").records
+    assert [(r.id, r.text) for r in split] == [("a", "buy btc now"), ("f", "moon soon!!!")]
+    meta = json.loads((tmp_path / "split.csv.meta.json").read_text(encoding="utf-8"))
+    assert (meta["days"], meta["tweets"]) == (2, 2)
+
+
 def test_sentiment_writes_daily_signal_csv(cli_corpus):
     root, tweets, prices = cli_corpus
     out = root / "signals.csv"
@@ -271,8 +305,9 @@ def test_sentiment_writes_daily_signal_csv(cli_corpus):
 
     series = load_prices(prices)
     loaded = load_tweets(tweets, window=series.window())
-    dataset = build_dataset(bucket_by_day(loaded.records, series), Attribute.FOLLOWERS)
-    expected = daily_signals(clean_and_dedup(dataset.buckets), builtin_lexicon())
+    expected = attribute_signal_series(
+        loaded.records, series, builtin_lexicon(), Attribute.FOLLOWERS
+    )
 
     with out.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -316,15 +351,12 @@ def test_sentiment_ranks_raw_tweets_before_cleaning(tmp_path):
         rows = list(csv.reader(handle))[1:]
     assert [int(row[2]) for row in rows] == [3, 0]
 
-    # The CLI, ``compare`` and the library order the tests use define the
-    # filtered pipeline the same way.
+    # The CLI writes the signals of the per-day stage ``compare`` runs too.
     series = load_prices(tmp_path / "prices.csv")
     records = load_tweets(tmp_path / "tweets.csv", window=series.window()).records
     library = attribute_signal_series(records, series, builtin_lexicon(), Attribute.FOLLOWERS)
-    for row, bucket, signal in zip(rows, bucket_by_day(records, series), library, strict=True):
-        one_pass, _ = day_signal(bucket, Attribute.FOLLOWERS, builtin_lexicon())
-        for s in (one_pass, signal):
-            assert row == [s.date.isoformat(), f"{s.mean_compound:.6f}", str(s.tweet_count)]
+    for row, s in zip(rows, library, strict=True):
+        assert row == [s.date.isoformat(), f"{s.mean_compound:.6f}", str(s.tweet_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +385,7 @@ def test_train_then_predict_round_trip(cli_corpus, agent_cfg_file):
 
     model = load_model(model_path)
     assert model.reward == "cdr"
-    assert model.attribute == "followers"
+    assert model.attribute is Attribute.FOLLOWERS
     assert model.config.episodes == 10  # from the config file
     assert model.config.action_min == -8
     assert model.config.seed == 7  # the flag beat any file/default value
@@ -520,10 +552,10 @@ def test_compare_time_mode(cli_corpus, agent_cfg_file):
     assert code == 0, err
     assert "classic" in stdout and "proposed" in stdout
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["mode"] == "fixed_time"
+    assert payload["seconds"] == 10.0
+    assert payload["target_vaf"] is None
     assert payload["classic"]["tweets_utilized"] == 240
     assert payload["proposed"]["tweets_utilized"] == 120
-    assert payload["budget_seconds"] == 10.0
 
 
 def test_compare_target_mode(cli_corpus, agent_cfg_file):

@@ -11,7 +11,6 @@ from sentiq.preprocess import (
     CleanTweet,
     clean,
     clean_and_dedup,
-    clean_bucket,
     clean_buckets,
     dedup,
 )
@@ -199,7 +198,7 @@ def test_clean_matches_unguarded_reference_on_noisy_fragments(fragments):
 
 
 # ---------------------------------------------------------------------------
-# clean_bucket / clean_buckets
+# clean_buckets
 
 
 def bucket_of(texts, date=D0):
@@ -209,9 +208,10 @@ def bucket_of(texts, date=D0):
     return DayBucket(date, tweets)
 
 
-def test_clean_bucket_drops_empty_and_counts():
-    bucket, dropped = clean_bucket(bucket_of(["Keep Me", "....", "@gone", "also kept"]))
-    assert dropped == 2
+def test_clean_bucket_drops_empty_and_counts(caplog):
+    with caplog.at_level(logging.WARNING):
+        (bucket,) = clean_buckets((bucket_of(["Keep Me", "....", "@gone", "also kept"]),))
+    assert "dropped 2 tweets" in caplog.text
     assert [t.clean_text for t in bucket.tweets] == ["keep me", "also kept"]
     assert all(isinstance(t, CleanTweet) for t in bucket.tweets)
     assert bucket.tweets[0].original.id == "t000"
@@ -229,7 +229,7 @@ def test_clean_buckets_warns_on_drops(caplog):
 
 
 def clean_bucket_of(texts, date=D0):
-    bucket, _ = clean_bucket(bucket_of(texts, date))
+    (bucket,) = clean_buckets((bucket_of(texts, date),))
     return bucket
 
 

@@ -8,6 +8,7 @@ from scipy import stats
 
 import oracles
 from helpers import make_series, make_signals
+from sentiq.attributes import Attribute
 from sentiq.errors import AlignmentError, ModelFormatError
 from sentiq.qlearn import (
     CDR,
@@ -587,9 +588,9 @@ def test_train_log_shape_and_epsilons():
 def test_train_records_reward_and_attribute():
     series, signals = aligned_inputs([100.0, 101.0, 102.0])
     cfg = AgentConfig(action_min=-5, action_max=5, episodes=2)
-    model, _ = train(series, signals, RDR, cfg, attribute="followers")
+    model, _ = train(series, signals, RDR, cfg, attribute=Attribute.FOLLOWERS)
     assert model.reward == RDR
-    assert model.attribute == "followers"
+    assert model.attribute is Attribute.FOLLOWERS
 
 
 def test_train_constant_series_learns_zero_percent():
@@ -662,7 +663,7 @@ def test_predict_uses_actual_not_predicted_history():
 
 def test_model_round_trip(tmp_path):
     cfg = AgentConfig(action_min=-7, action_max=9, sentiment_bins=5, seed=11)
-    model = QModel.zeros(cfg, reward=CDR, attribute="followers")
+    model = QModel.zeros(cfg, reward=CDR, attribute=Attribute.FOLLOWERS)
     rng = np.random.default_rng(5)
     model.table[:] = rng.normal(size=model.table.shape)
     path = tmp_path / "model.bin"
@@ -670,8 +671,19 @@ def test_model_round_trip(tmp_path):
     loaded = load_model(path)
     assert loaded.config == cfg
     assert loaded.reward == CDR
-    assert loaded.attribute == "followers"
+    assert loaded.attribute is Attribute.FOLLOWERS
     assert np.array_equal(loaded.table, model.table)
+
+
+def test_attribute_is_stored_as_its_name_and_loads_as_the_enum(tmp_path):
+    # The file holds the attribute's name, so the bytes are those of a model
+    # whose attribute was the plain string, and loading gives the enum back.
+    cfg = AgentConfig(action_min=0, action_max=1)
+    enum_path, name_path = tmp_path / "enum.bin", tmp_path / "name.bin"
+    save_model(QModel.zeros(cfg, reward=CDR, attribute=Attribute.LIKES), enum_path)
+    save_model(QModel.zeros(cfg, reward=CDR, attribute="likes"), name_path)
+    assert enum_path.read_bytes() == name_path.read_bytes()
+    assert load_model(name_path).attribute is Attribute.LIKES
 
 
 def test_load_rejects_foreign_and_truncated_files(tmp_path):

@@ -15,7 +15,6 @@ from sentiq.sentiment import (
     Lexicon,
     builtin_lexicon,
     compound_of,
-    daily_signal,
     daily_signals,
     day_signal,
     load_lexicon,
@@ -179,14 +178,14 @@ def signal_bucket(texts, date=D0):
 
 def test_daily_signal_symmetric_pair_averages_to_zero():
     lex = lex_of(up=1.0, down=-1.0)
-    signal = daily_signal(signal_bucket(["up", "down"]), lex)
+    signal = daily_signals((signal_bucket(["up", "down"]),), lex)[0]
     assert signal.mean_compound == pytest.approx(0.0, abs=1e-15)
     assert signal.tweet_count == 2
     assert signal.date == D0
 
 
 def test_daily_signal_empty_day_is_zero():
-    signal = daily_signal(DayBucket(D0, ()), builtin_lexicon())
+    signal = daily_signals((DayBucket(D0, ()),), builtin_lexicon())[0]
     assert signal == type(signal)(D0, 0.0, 0)
 
 
@@ -198,7 +197,7 @@ def test_daily_signal_is_arithmetic_mean():
     lex = lex_of(
         mild=valence_for(0.2), firm=valence_for(0.4), loud=valence_for(0.9)
     )
-    signal = daily_signal(signal_bucket(["mild", "firm", "loud"]), lex)
+    signal = daily_signals((signal_bucket(["mild", "firm", "loud"]),), lex)[0]
     assert signal.mean_compound == pytest.approx(0.5, abs=1e-9)
     expected = (
         score("mild", lex) + score("firm", lex) + score("loud", lex)
@@ -234,7 +233,7 @@ def test_daily_mean_lies_within_member_range(texts_per_tweet):
     texts = [" ".join(tokens) for tokens in texts_per_tweet]
     bucket = signal_bucket(texts)
     compounds = [score(t, lex) for t in texts]
-    signal = daily_signal(bucket, lex)
+    signal = daily_signals((bucket,), lex)[0]
     assert min(compounds) - 1e-12 <= signal.mean_compound <= max(compounds) + 1e-12
     assert signal.tweet_count == len(texts)
 
