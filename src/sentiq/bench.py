@@ -116,6 +116,7 @@ class ApproachResult:
     approach: str
     tweets_utilized: int
     wall_seconds: float
+    cpu_seconds: float
     episodes_run: int
     final_vaf: float
     converged: bool | None
@@ -128,6 +129,7 @@ class ApproachResult:
             "approach": self.approach,
             "tweets_utilized": self.tweets_utilized,
             "wall_seconds": self.wall_seconds,
+            "cpu_seconds": self.cpu_seconds,
             "episodes_run": self.episodes_run,
             "final_vaf": self.final_vaf,
             "converged": self.converged,
@@ -173,6 +175,7 @@ def _run_approach(
     cfg: BenchConfig,
     clock: Callable[[], float],
 ) -> ApproachResult:
+    cpu0 = time.process_time()
     session = profiler.start(PROFILE_INTERVAL)
     t0 = clock()
     deadline = t0 + cfg.seconds
@@ -219,6 +222,8 @@ def _run_approach(
         approach=approach,
         tweets_utilized=utilized,
         wall_seconds=clock() - t0,
+        # Process CPU time, so the sampler thread's share is in it.
+        cpu_seconds=time.process_time() - cpu0,
         episodes_run=episodes_run,
         final_vaf=final,
         converged=converged,

@@ -64,7 +64,11 @@ def load_run_config(path: str | Path) -> dict[str, int | float | str]:
     """Parse a flat ``key = value`` config file, casting each value to its key's type."""
     values: dict[str, int | float | str] = {}
     with Path(path).open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+        try:
+            lines = list(handle)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -5,12 +5,15 @@ File formats:
 * tweets (CSV): header ``id,timestamp,text,followers,comments,likes,retweets``;
   ``timestamp`` is integer epoch seconds (UTC) within the years 1 to 9999,
   the four trailing columns are non-negative integer engagement counts.
-* tweets (JSONL): one object per line with the same seven keys.
+* tweets (JSONL): one object per line with the same seven keys, written as
+  ``json.dumps`` of the seven keys in header order (ASCII-escaped, ``", "``
+  and ``": "`` separators).
 * prices (CSV): header ``date,price``; ISO dates, one row per calendar day with
   no gaps, strictly increasing (a row out of order or after a gap is an error
   naming its line); prices are positive and rounded to two fraction digits
   (half away from zero) on ingest.
 
+A file that is not UTF-8 text stops the load with an error naming the file.
 Day bucketing uses UTC calendar days throughout.
 """
 
@@ -22,6 +25,8 @@ import json
 import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -38,6 +43,14 @@ _DAY_S = 86_400
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _tweet_fields = itemgetter(*TWEET_FIELDS)
 _by_time_then_id = itemgetter(1, 0)  # (timestamp, id) of a TweetRecord
+# One JSONL line: the bytes of json.dumps(dict(zip(TWEET_FIELDS, record))).
+# "%d" writes an int subclass's digits as int.__repr__ does, as json does.
+_JSONL_LINE = "{%s}\n" % ", ".join(
+    f'"{name}": %{"d" if name in _INT_FIELDS else "s"}' for name in TWEET_FIELDS
+)
+_JSON_WS = " \t\n\r"
+# json.loads without its Python-level wrappers: scan_once(s, 0) -> (value, end).
+_scan_json = make_scanner(json.JSONDecoder())
 
 
 def round_price(value: float | int | str | Decimal) -> float:
@@ -211,38 +224,59 @@ def csv_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[st
     expected = ",".join(header)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        got = next(reader, None)
-        if got is None:
-            raise CorpusError(f"{path}: empty file, expected header {expected}")
-        if tuple(got) != header:
-            raise CorpusError(f"{path}:1: bad header {','.join(got)!r}, expected header {expected}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
+        try:
+            got = next(reader, None)
+            if got is None:
+                raise CorpusError(f"{path}: empty file, expected header {expected}")
+            if tuple(got) != header:
                 raise CorpusError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}:1: bad header {','.join(got)!r}, expected header {expected}"
                 )
-            yield reader.line_num, row
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CorpusError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, tuple]]:
+    """``(line number, fields)`` for each non-blank line of a JSONL tweet file.
+
+    A line is one JSON value with only JSON whitespace around it, as for
+    ``json.loads(line)``: the C scanner reads the stripped line and its
+    value counts only when the scan ends at the end of that string. Every
+    other line goes to ``json.loads``, whose error the message carries.
+    """
     with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: expected an object per line")
-            try:
-                fields = _tweet_fields(obj)
-            except KeyError:
-                missing = next(k for k in TWEET_FIELDS if k not in obj)
-                raise CorpusError(f"{path}:{lineno}: missing field '{missing}'") from None
-            yield lineno, fields
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                stripped = line.strip(_JSON_WS)
+                try:
+                    obj, end = _scan_json(stripped, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(stripped):
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"{path}:{lineno}: expected an object per line")
+                try:
+                    fields = _tweet_fields(obj)
+                except KeyError:
+                    missing = next(k for k in TWEET_FIELDS if k not in obj)
+                    raise CorpusError(f"{path}:{lineno}: missing field '{missing}'") from None
+                yield lineno, fields
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def load_tweets(
@@ -328,9 +362,12 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
             writer.writerow(TWEET_FIELDS)
             writer.writerows(records)
     elif format == "jsonl":
+        quote = encode_basestring_ascii
         with path.open("w", encoding="utf-8") as handle:
-            for r in records:
-                handle.write(json.dumps(dict(zip(TWEET_FIELDS, r))) + "\n")
+            handle.writelines(
+                _JSONL_LINE % (quote(i), ts, quote(text), followers, comments, likes, retweets)
+                for i, ts, text, followers, comments, likes, retweets in records
+            )
     else:
         raise CorpusError(f"unknown tweet format {format!r}, expected 'csv' or 'jsonl'")
     return len(records)

@@ -70,7 +70,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """Load a tab-separated lexicon file; tokens are lowercased on load."""
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
-        return _parse_lexicon(handle, str(path))
+        try:
+            return _parse_lexicon(handle, str(path))
+        except UnicodeDecodeError as exc:
+            raise LexiconError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def builtin_lexicon() -> Lexicon:

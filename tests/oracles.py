@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import itertools
+import json
 import math
 import re
 
@@ -129,3 +130,32 @@ def o_clean(text: str) -> str:
 def o_utc_day(timestamp: int) -> dt.date:
     """The UTC date ``timestamp`` seconds after 1970-01-01T00:00:00Z."""
     return (dt.datetime(1970, 1, 1) + dt.timedelta(seconds=timestamp)).date()
+
+
+# ---------------------------------------------------------------------------
+# JSONL tweet rows, one ``json.loads`` per line.
+
+O_TWEET_FIELDS = ("id", "timestamp", "text", "followers", "comments", "likes", "retweets")
+
+
+def o_jsonl_rows(path):
+    """``(line number, the seven values)`` for each non-blank line of a JSONL file.
+
+    A bad line raises ``ValueError`` with the message the package's reader
+    gives: invalid JSON, a value that is not an object, or the first missing
+    field in header order.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected an object per line")
+            for key in O_TWEET_FIELDS:
+                if key not in obj:
+                    raise ValueError(f"{path}:{lineno}: missing field '{key}'")
+            yield lineno, tuple(obj[key] for key in O_TWEET_FIELDS)

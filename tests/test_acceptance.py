@@ -419,12 +419,13 @@ def _pipeline_artifacts(root):
     ):
         artifacts[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
 
-    # The comparison report embeds real profiler readings and wall times;
-    # those channels are exempt, everything else must reproduce.
+    # The comparison report embeds real profiler readings, wall times and
+    # CPU times; those channels are exempt, everything else must reproduce.
     payload = json.loads((root / "compare.json").read_text(encoding="utf-8"))
     for side in ("classic", "proposed"):
         payload[side].pop("resources")
         payload[side].pop("wall_seconds")
+        payload[side].pop("cpu_seconds")
     artifacts["compare.json"] = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()

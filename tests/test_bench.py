@@ -134,6 +134,20 @@ def test_fixed_time_full_run_shape(corpus, lexicon):
         assert result.test_prices == series.prices[-9:]
 
 
+def test_cpu_seconds_is_reported_without_a_profiler_sample(corpus, lexicon):
+    tweets, series = corpus
+    # The fake clock passes the deadline at the first check, so each approach
+    # ends long before the profiler's first sample.
+    report = compare(tweets, series, lexicon, small_bench(seconds=1.0), clock=stepping_clock(1.0))
+    payload = json.loads(report.to_json())
+    for side in ("classic", "proposed"):
+        result = getattr(report, side)
+        assert result.resources.sample_count == 0
+        assert payload[side]["resources"]["cpu_pct"] is None
+        assert result.cpu_seconds > 0.0
+        assert payload[side]["cpu_seconds"] == result.cpu_seconds
+
+
 def test_fixed_time_final_vaf_matches_recompute(corpus, lexicon):
     tweets, series = corpus
     report = compare(tweets, series, lexicon, small_bench())
@@ -152,6 +166,7 @@ def test_fixed_time_report_serialization(corpus, lexicon):
             "approach",
             "tweets_utilized",
             "wall_seconds",
+            "cpu_seconds",
             "episodes_run",
             "final_vaf",
             "converged",
@@ -170,6 +185,7 @@ def test_fixed_time_is_deterministic_under_a_fake_clock(corpus, lexicon):
         d = report.to_dict()
         for side in ("classic", "proposed"):
             d[side].pop("resources")
+            d[side].pop("cpu_seconds")
         return d
 
     assert comparable(reports[0]) == comparable(reports[1])

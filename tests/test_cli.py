@@ -556,6 +556,8 @@ def test_compare_time_mode(cli_corpus, agent_cfg_file):
     assert payload["target_vaf"] is None
     assert payload["classic"]["tweets_utilized"] == 240
     assert payload["proposed"]["tweets_utilized"] == 120
+    assert payload["classic"]["cpu_seconds"] > 0.0
+    assert payload["proposed"]["cpu_seconds"] > 0.0
 
 
 def test_compare_target_mode(cli_corpus, agent_cfg_file):
@@ -599,3 +601,82 @@ def test_compare_rejects_bad_seconds_and_target_exits_1(cli_corpus):
         )
         assert code == 1
         assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# files that are not UTF-8
+
+# A Latin-1 "é": 0xe9 starts a three-byte UTF-8 sequence that "!" cannot continue.
+NOT_UTF8 = "café!".encode("latin-1")
+TWEETS_HEADER = b"id,timestamp,text,followers,comments,likes,retweets\n"
+PRICES = b"date,price\n2021-01-01,100.00\n2021-01-02,101.00\n"
+
+
+def assert_not_utf8_error(code, err, path):
+    assert code == 1
+    assert "Traceback" not in err, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {path}: not UTF-8 text: invalid continuation byte"], err
+
+
+def test_csv_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path):
+    good_tweets = tmp_path / "tweets.csv"
+    good_tweets.write_bytes(TWEETS_HEADER + b"a,1609459200,up,1,0,0,0\n")
+    good_prices = tmp_path / "prices.csv"
+    good_prices.write_bytes(PRICES)
+    bad_tweets = tmp_path / "bad_tweets.csv"
+    bad_tweets.write_bytes(TWEETS_HEADER + b"a,1609459200," + NOT_UTF8 + b",1,0,0,0\n")
+    bad_prices = tmp_path / "bad_prices.csv"
+    bad_prices.write_bytes(PRICES + b"2021-01-03," + NOT_UTF8 + b"\n")
+
+    code, _, err = run_cli(
+        ["preprocess", "--tweets", bad_tweets, "--prices", good_prices, "--out", "o.csv"],
+        cwd=tmp_path,
+    )
+    assert_not_utf8_error(code, err, bad_tweets)
+    code, _, err = run_cli(
+        ["preprocess", "--tweets", good_tweets, "--prices", bad_prices, "--out", "o.csv"],
+        cwd=tmp_path,
+    )
+    assert_not_utf8_error(code, err, bad_prices)
+    for actual, predicted in ((bad_prices, good_prices), (good_prices, bad_prices)):
+        code, _, err = run_cli(
+            ["evaluate", "--actual", actual, "--predicted", predicted], cwd=tmp_path
+        )
+        assert_not_utf8_error(code, err, bad_prices)
+
+
+def test_jsonl_tweets_that_are_not_utf8_exit_1_naming_the_file(tmp_path):
+    bad = tmp_path / "tweets.jsonl"
+    bad.write_bytes(
+        b'{"id": "a", "timestamp": 1609459200, "text": "' + NOT_UTF8
+        + b'", "followers": 1, "comments": 0, "likes": 0, "retweets": 0}\n'
+    )
+    code, _, err = run_cli(
+        ["preprocess", "--tweets", bad, "--format", "jsonl", "--out", "o.jsonl"], cwd=tmp_path
+    )
+    assert_not_utf8_error(code, err, bad)
+
+
+def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path):
+    bad = tmp_path / "run.cfg"
+    bad.write_bytes(b"days = 3\n# " + NOT_UTF8 + b"\n")
+    code, _, err = run_cli(
+        ["synth", "--config", bad, "--out-tweets", "t.csv", "--out-prices", "p.csv"],
+        cwd=tmp_path,
+    )
+    assert_not_utf8_error(code, err, bad)
+
+
+def test_lexicon_that_is_not_utf8_exits_1_naming_the_file(tmp_path):
+    tweets = tmp_path / "tweets.csv"
+    tweets.write_bytes(TWEETS_HEADER + b"a,1609459200,up,1,0,0,0\n")
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(PRICES)
+    bad = tmp_path / "lexicon.tsv"
+    bad.write_bytes(b"up\t1.0\n" + NOT_UTF8 + b"\t2.0\n")
+    code, _, err = run_cli(
+        ["sentiment", "--tweets", tweets, "--prices", prices, "--lexicon", bad, "--out", "s.csv"],
+        cwd=tmp_path,
+    )
+    assert_not_utf8_error(code, err, bad)

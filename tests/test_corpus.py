@@ -1,15 +1,17 @@
 import csv
 import dataclasses
 import datetime as dt
+import enum
 import json
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_series, make_tweet
-from oracles import o_utc_day
+from oracles import o_jsonl_rows, o_utc_day
 from sentiq.corpus import (
     _MAX_TIMESTAMP,
     _MIN_TIMESTAMP,
@@ -594,21 +596,29 @@ def odd_rows(odd):
     )
 
 
-def reference_load(path, format, window):
-    """``load_tweets`` with ``_build_record`` run on every row: the records, or the error."""
-    rows = csv_rows(path, TWEET_FIELDS) if format == "csv" else _iter_jsonl_rows(path)
+def reference_load(path, format, window, rows=None):
+    """``load_tweets`` with ``_build_record`` run on every row: the records, or the error.
+
+    ``rows`` stands in for the package's row reader; it may raise
+    ``ValueError`` with the message of a bad line.
+    """
+    if rows is None:
+        rows = csv_rows(path, TWEET_FIELDS) if format == "csv" else _iter_jsonl_rows(path)
     lo, hi = window
     records, seen = [], set()
-    for lineno, fields in rows:
-        try:
-            record = _build_record(fields)
-        except CorpusError as exc:
-            return f"{path}:{lineno}: {exc}"
-        if record.id in seen:
-            return f"{path}:{lineno}: duplicate tweet id {record.id!r}"
-        seen.add(record.id)
-        if lo <= record.day() <= hi:
-            records.append(record)
+    try:
+        for lineno, fields in rows:
+            try:
+                record = _build_record(fields)
+            except CorpusError as exc:
+                return f"{path}:{lineno}: {exc}"
+            if record.id in seen:
+                return f"{path}:{lineno}: duplicate tweet id {record.id!r}"
+            seen.add(record.id)
+            if lo <= record.day() <= hi:
+                records.append(record)
+    except ValueError as exc:
+        return str(exc)
     return tuple(records)
 
 
@@ -642,3 +652,113 @@ def test_fast_row_check_accepts_exactly_what_build_record_accepts(
         assert [tuple(map(type, r)) for r in got.records] == [tuple(map(type, r)) for r in want]
         assert got.total_rows == len(rows)
         assert got.dropped_out_of_window == len(rows) - len(want)
+
+
+# ---------------------------------------------------------------------------
+# JSONL reader and writer against one json.loads and one json.dumps per line
+
+
+def _json_object(record, separators=(", ", ": "), duplicate=None):
+    """One record as a JSON object; ``duplicate`` is a ``(key, value)`` pair added last."""
+    pairs = list(zip(TWEET_FIELDS, record))
+    if duplicate is not None:
+        pairs.append(duplicate)
+    comma, colon = separators
+    return "{" + comma.join(json.dumps(k) + colon + json.dumps(v) for k, v in pairs) + "}"
+
+
+# Whitespace json skips (" ", "\t", "\r"; a "\r" also ends the line when read
+# back), weighted so that most lines parse, and whitespace it does not.
+_LINE_PADDING = st.sampled_from(
+    ["", " ", "\t", " \t ", "\r"] * 3 + ["\x0b", "\x0c", "\xa0", "\u2028"]
+)
+_NOT_OBJECTS = [
+    "[1, 2]", "3", "-0.5e3", '"text"', "null", "true", "NaN", "[]", "{", "{not json", '{"id": }',
+    '{"id": "a"', "}", "\ufeff",
+]
+
+
+@st.composite
+def jsonl_line(draw, index):
+    record = (f"t{index}", *draw(VALID_ROW)[1:])
+    # A field may hold NaN, a string or a bad value; the row check then names it.
+    if draw(st.sampled_from([False, False, True])):
+        field = draw(st.integers(1, 6))
+        record = (*record[:field], draw(st.sampled_from(JSON_ODD[field] + [math.nan])),
+                  *record[field + 1:])
+    obj = _json_object(
+        record,
+        separators=draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " : ")])),
+        duplicate=draw(st.none() | st.tuples(
+            st.sampled_from(TWEET_FIELDS), st.sampled_from(["x", 3, -1, None])
+        )),
+    )
+    kind = draw(st.sampled_from(["object"] * 6 + ["trailing", "other", "blank"]))
+    if kind == "trailing":
+        obj += draw(st.sampled_from([" x", ", " + obj, obj, " {}", "]", " 1", "\x0b1"]))
+    elif kind == "other":
+        obj = draw(st.sampled_from(_NOT_OBJECTS + [f"[{obj}]"]))
+    elif kind == "blank":
+        obj = ""
+    return draw(_LINE_PADDING) + obj + draw(_LINE_PADDING)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_jsonl_reader_matches_one_json_loads_per_line(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 6))
+    lines = [data.draw(jsonl_line(i)) for i in range(n)]
+    if data.draw(st.sampled_from([False] * 9 + [True])):
+        lines[0] = "\ufeff" + lines[0]
+    path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+    everything = (dt.date.min, dt.date.max)
+    want = reference_load(path, "jsonl", everything, rows=o_jsonl_rows(path))
+    if isinstance(want, str):
+        with pytest.raises(CorpusError) as info:
+            load_tweets(path, format="jsonl")
+        assert str(info.value) == want
+    else:
+        assert load_tweets(path, format="jsonl").records == want
+
+
+class _Count(enum.IntEnum):
+    FIVE = 5
+
+
+class _LoudInt(int):
+    """An int that formats and prints as something other than its digits."""
+
+    def __repr__(self):
+        return "_LoudInt(?)"
+
+    def __format__(self, spec):
+        return "loud"
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi) | st.integers(lo, hi).map(_LoudInt) | st.just(_Count.FIVE)
+
+
+_WRITE_TEXT = st.text(min_size=1, max_size=12).filter(lambda t: not t.isspace()) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "\ud800", "a\udfffb", "a\u2028b", "é☃🚀", "a\r\nb"]
+)
+_WRITE_RECORD = st.builds(
+    TweetRecord,
+    st.text(min_size=1, max_size=6) | st.sampled_from(['"', "\\", "\udc80", "☃"]),
+    _ints(_MIN_TIMESTAMP, _MAX_TIMESTAMP),
+    _WRITE_TEXT,
+    *(_ints(0, 10**15) for _ in range(4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_WRITE_RECORD, max_size=6, unique_by=lambda r: r.id))
+def test_jsonl_writer_writes_the_bytes_of_json_dumps(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("write") / "t.jsonl"
+    assert write_tweets(records, path, format="jsonl") == len(records)
+    expected = "".join(json.dumps(dict(zip(TWEET_FIELDS, r))) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode("ascii")
+    assert load_tweets(path, format="jsonl").records == tuple(records)
