@@ -14,8 +14,9 @@ first and ranks the cleaned rows it writes.
 
 Every value can come from three layers with rising precedence: built-in
 defaults, a ``--config`` file of flat ``key = value`` lines, then explicit
-flags. Unknown config keys are rejected. All outputs go to explicit
-``--out`` style paths; nothing is written implicitly.
+flags, typed and checked by :data:`SETTINGS`. A config line with an unknown
+key or a bad value stops the run with the file and line. All outputs go to
+explicit ``--out`` style paths; nothing is written implicitly.
 
 Exit codes: 0 success, 1 failure (one-line message on stderr), 2 usage.
 """
@@ -26,6 +27,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import json
 import logging
 import math
@@ -45,23 +47,25 @@ from .sentiment import Lexicon, builtin_lexicon, daily_signals, day_signal, load
 
 logger = logging.getLogger(__name__)
 
-_INT_KEYS = {
-    "action_min", "action_max", "episodes", "sentiment_bins", "seed",
-    "days", "tweets_per_day",
+# Every setting a config file or a flag can give: its type, or the strings it takes.
+SETTINGS: dict[str, type | tuple[str, ...]] = {
+    **dict.fromkeys(("action_min", "action_max", "episodes", "sentiment_bins", "seed"), int),
+    **dict.fromkeys(("gamma", "theta", "epsilon_start", "epsilon_end"), float),
+    **dict.fromkeys(("price_bucket_width", "price_max"), float),
+    **dict.fromkeys(("days", "tweets_per_day"), int),
+    **dict.fromkeys(("rho", "base_price", "daily_vol"), float),
+    **dict.fromkeys(("train_frac", "seconds", "target_vaf"), float),
+    "state": qlearn.STATE_MODES,
+    "reward": qlearn.REWARD_KINDS,
+    "attribute": (*(a.value for a in Attribute), "none"),
+    "format": ("csv", "jsonl"),
+    "prices": str,
+    "lexicon": str,
 }
-_FLOAT_KEYS = {
-    "gamma", "theta", "epsilon_start", "epsilon_end", "price_bucket_width",
-    "price_max", "rho", "base_price", "daily_vol", "train_frac", "seconds",
-    "target_vaf",
-}
-_STR_KEYS = {"state", "reward", "attribute", "format", "prices", "lexicon"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-_ATTRIBUTES = [a.value for a in Attribute] + ["none"]
-_FORMATS = ["csv", "jsonl"]
 
 
 def load_run_config(path: str | Path) -> dict[str, int | float | str]:
-    """Parse a flat ``key = value`` config file, casting each value to its key's type."""
+    """Parse a flat ``key = value`` config file, casting and checking each value by ``SETTINGS``."""
     values: dict[str, int | float | str] = {}
     with Path(path).open(encoding="utf-8") as handle:
         try:
@@ -76,11 +80,16 @@ def load_run_config(path: str | Path) -> dict[str, int | float | str]:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            cast = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+            kind = SETTINGS[key]
+            if isinstance(kind, tuple) and value not in kind:
+                raise ConfigError(
+                    f"{path}:{lineno}: config key {key!r}: "
+                    f"expected one of {'|'.join(kind)}, got {value!r}"
+                )
             try:
-                values[key] = cast(value)
+                values[key] = value if isinstance(kind, tuple) else kind(value)
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: config key {key!r}: not a number: {value!r}"
@@ -114,12 +123,7 @@ def _format(opts: ChainMap) -> str:
 
 def _attribute(opts: ChainMap) -> Attribute | None:
     name = opts.get("attribute", "none")
-    if name == "none":
-        return None
-    try:
-        return Attribute(name)
-    except ValueError:
-        raise ConfigError(f"unknown attribute {name!r}, expected {'|'.join(_ATTRIBUTES)}") from None
+    return None if name == "none" else Attribute(name)
 
 
 def _lexicon(opts: ChainMap) -> Lexicon:
@@ -333,10 +337,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    if seed:
-        sub.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
+def _settings(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
+    """Add each setting's flag ``--name-with-dashes``, typed or limited by ``SETTINGS``."""
+    for name in names:
+        kind = SETTINGS[name]
+        if isinstance(kind, tuple):
+            typed = {"choices": kind}
+        else:
+            typed = {} if kind is str else {"type": kind}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **typed, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,66 +354,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tweet-sentiment Q-learning price prediction pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="flat key = value config file")
+    with_config = functools.partial(sub.add_parser, parents=[config])
+    seed_help = "random seed (unsigned 64-bit)"
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    _add_common(p, seed=True)
-    p.add_argument("--days", type=int)
-    p.add_argument("--tweets-per-day", type=int, dest="tweets_per_day")
-    p.add_argument("--rho", type=float, help="planted follower-signal strength in [0, 1]")
-    p.add_argument("--base-price", type=float, dest="base_price")
-    p.add_argument("--daily-vol", type=float, dest="daily_vol")
-    p.add_argument("--format", choices=_FORMATS)
+    p = with_config("synth", help="generate a seeded synthetic corpus")
+    _settings(p, "seed", help=seed_help)
+    _settings(p, "days", "tweets_per_day")
+    _settings(p, "rho", help="planted follower-signal strength in [0, 1]")
+    _settings(p, "base_price", "daily_vol", "format")
     p.add_argument("--out-tweets", required=True, dest="out_tweets")
     p.add_argument("--out-prices", required=True, dest="out_prices")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="clean texts and drop same-day duplicates")
-    _add_common(p)
+    p = with_config("preprocess", help="clean texts and drop same-day duplicates")
     p.add_argument("--tweets", required=True)
-    p.add_argument("--prices", help="restrict to the price-series window")
-    p.add_argument("--format", choices=_FORMATS)
+    _settings(p, "prices", help="restrict to the price-series window")
+    _settings(p, "format")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("split", help="keep each day's top half by an engagement attribute")
-    _add_common(p)
+    p = with_config("split", help="keep each day's top half by an engagement attribute")
     p.add_argument("--tweets", required=True)
-    p.add_argument("--prices")
-    p.add_argument("--attribute", choices=_ATTRIBUTES)
-    p.add_argument("--format", choices=_FORMATS)
+    _settings(p, "prices", "attribute", "format")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("sentiment", help="daily mean-compound signal series")
-    _add_common(p)
+    p = with_config("sentiment", help="daily mean-compound signal series")
     p.add_argument("--tweets", required=True)
-    p.add_argument("--prices", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--attribute", choices=_ATTRIBUTES)
-    p.add_argument("--format", choices=_FORMATS)
+    _settings(p, "prices", required=True)
+    _settings(p, "lexicon", "attribute", "format")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sentiment)
 
-    p = sub.add_parser("train", help="train a Q-model on a corpus + price history")
-    _add_common(p, seed=True)
+    p = with_config("train", help="train a Q-model on a corpus + price history")
+    _settings(p, "seed", help=seed_help)
     p.add_argument("--tweets", required=True)
-    p.add_argument("--prices", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--reward", choices=list(qlearn.REWARD_KINDS))
-    p.add_argument("--attribute", choices=_ATTRIBUTES)
-    p.add_argument("--state", choices=list(qlearn.STATE_MODES))
-    p.add_argument("--format", choices=_FORMATS)
+    _settings(p, "prices", required=True)
+    _settings(p, "lexicon", "reward", "attribute", "state", "format")
     p.add_argument("--log", help="write per-episode training log JSON here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="greedy next-day predictions from a saved model")
-    _add_common(p)
+    p = with_config("predict", help="greedy next-day predictions from a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--tweets", required=True)
-    p.add_argument("--prices", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--format", choices=_FORMATS)
+    _settings(p, "prices", required=True)
+    _settings(p, "lexicon", "format")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -414,17 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="classic vs follower-filtered pipeline benchmark")
-    _add_common(p, seed=True)
+    p = with_config("compare", help="classic vs follower-filtered pipeline benchmark")
+    _settings(p, "seed", help=seed_help)
     p.add_argument("--tweets", required=True)
-    p.add_argument("--prices", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--seconds", type=float, help="wall-clock limit per approach (default 600)")
-    p.add_argument("--target-vaf", type=float, dest="target_vaf",
-                   help="stop an approach once its held-out VAF reaches this")
-    p.add_argument("--reward", choices=list(qlearn.REWARD_KINDS))
-    p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--format", choices=_FORMATS)
+    _settings(p, "prices", required=True)
+    _settings(p, "lexicon")
+    _settings(p, "seconds", help="wall-clock limit per approach (default 600)")
+    _settings(p, "target_vaf", help="stop an approach once its held-out VAF reaches this")
+    _settings(p, "reward", "train_frac", "format")
     p.add_argument("--out", help="write the full comparison report JSON here")
     p.set_defaults(func=cmd_compare)
 

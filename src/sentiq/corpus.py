@@ -109,14 +109,16 @@ class TweetRecord(_TweetFields):
         if not isinstance(id, str) or not id:
             raise CorpusError("field 'id': must be a non-empty string")
         # One chained test passes the usual all-plain-int case; the loop then
-        # lets other int subclasses through and names the first non-integer.
+        # names the first non-integer and stores other int subclasses as int.
         if not (
             int is type(timestamp) is type(followers) is type(comments) is type(likes)
             is type(retweets)
         ):
-            for name, value in zip(_INT_FIELDS, (timestamp, followers, comments, likes, retweets)):
+            ints = (timestamp, followers, comments, likes, retweets)
+            for name, value in zip(_INT_FIELDS, ints):
                 if not isinstance(value, int) or value is True or value is False:
                     raise CorpusError(f"field '{name}': not an integer: {value!r}")
+            timestamp, followers, comments, likes, retweets = map(int, ints)
         if not isinstance(text, str) or not text or text.isspace():
             raise CorpusError("field 'text': must be non-empty text")
         if (followers | comments | likes | retweets) < 0:
@@ -250,7 +252,8 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, tuple]]:
     A line is one JSON value with only JSON whitespace around it, as for
     ``json.loads(line)``: the C scanner reads the stripped line and its
     value counts only when the scan ends at the end of that string. Every
-    other line goes to ``json.loads``, whose error the message carries.
+    other line goes to ``json.loads``, whose error the message carries,
+    but one nested too deeply to scan fails at once: ``json.loads`` recurses too.
     """
     with path.open(encoding="utf-8") as handle:
         try:
@@ -262,6 +265,8 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, tuple]]:
                     obj, end = _scan_json(stripped, 0)
                 except (StopIteration, json.JSONDecodeError):
                     end = -1
+                except RecursionError:
+                    raise CorpusError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
                 if end != len(stripped):
                     try:
                         obj = json.loads(line)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 from helpers import attribute_signal_series, run_cli
 from sentiq.attributes import Attribute
-from sentiq.cli import build_parser
+from sentiq.cli import SETTINGS, build_parser
 from sentiq.corpus import bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
 from sentiq.qlearn import AgentConfig, QModel, load_model, save_model
@@ -148,6 +149,56 @@ def test_config_file_errors_exit_1(tmp_path):
     )
     assert code == 1
     assert "expected key = value" in err
+
+
+CHOICE_ARGV = {
+    "synth": ["--out-tweets", "t.csv", "--out-prices", "p.csv"],
+    "train": ["--tweets", "t.csv", "--prices", "p.csv", "--out", "m.bin"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHOICE_ARGV))
+@pytest.mark.parametrize(
+    "key, choices",
+    [
+        ("attribute", "followers|comments|likes|retweets|none"),
+        ("format", "csv|jsonl"),
+        ("reward", "sdr|rdr|cdr"),
+        ("state", "price+sentiment|price-only"),
+    ],
+)
+def test_config_value_outside_its_choices_exits_1_naming_the_line(
+    tmp_path, command, key, choices
+):
+    # Checked as the file is read, like numbers, so synth rejects keys it never reads.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
+    code, _, err = run_cli([command, "--config", cfg, *CHOICE_ARGV[command]], cwd=tmp_path)
+    assert code == 1
+    assert err == f"error: {cfg}:1: config key '{key}': expected one of {choices}, got 'bogus'\n"
+
+
+def test_every_settings_flag_is_typed_from_settings():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flagged = set()
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            if action.dest not in SETTINGS:
+                continue
+            flagged.add(action.dest)
+            kind = SETTINGS[action.dest]
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+            if isinstance(kind, tuple):
+                assert (action.type, tuple(action.choices)) == (None, kind), action.dest
+            else:
+                assert (action.type or str, action.choices) == (kind, None), action.dest
+    # Agent hyperparameters are config-only.
+    assert flagged == {
+        "seed", "days", "tweets_per_day", "rho", "base_price", "daily_vol", "format", "prices",
+        "attribute", "lexicon", "reward", "state", "seconds", "target_vaf", "train_frac",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +707,16 @@ def test_jsonl_tweets_that_are_not_utf8_exit_1_naming_the_file(tmp_path):
         ["preprocess", "--tweets", bad, "--format", "jsonl", "--out", "o.jsonl"], cwd=tmp_path
     )
     assert_not_utf8_error(code, err, bad)
+
+
+def test_jsonl_nested_too_deeply_exits_1_with_one_line(tmp_path):
+    tweets = tmp_path / "deep.jsonl"
+    tweets.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    code, _, err = run_cli(
+        ["preprocess", "--tweets", tweets, "--format", "jsonl", "--out", "o.jsonl"], cwd=tmp_path
+    )
+    assert code == 1
+    assert err == f"error: {tweets}:1: invalid JSON: nested too deeply\n"
 
 
 def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path):

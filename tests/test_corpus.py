@@ -88,8 +88,17 @@ def test_tweet_record_takes_int_subclasses_other_than_bool():
 
     record = TweetRecord("t1", Count(T0), "x", Count(1), 0, Count(3), 0)
     assert record == ("t1", T0, "x", 1, 0, 3, 0)
+    assert all(type(field) is int for field in record[1:2] + record[3:])
     with pytest.raises(CorpusError, match="field 'likes': not an integer: False"):
         TweetRecord("t1", Count(T0), "x", Count(1), 0, False, 0)
+
+
+def test_int_subclass_counts_write_a_csv_that_loads(tmp_path):
+    # _LoudInt's str() is not its digits; the record keeps only its int value.
+    record = TweetRecord("t1", _LoudInt(T0), "x", _LoudInt(3), 0, _Count.FIVE, 0)
+    path = tmp_path / "t.csv"
+    write_tweets([record], path)
+    assert load_tweets(path).records == (("t1", T0, "x", 3, 0, 5, 0),)
 
 
 def test_tweet_record_rejects_timestamps_outside_date_range():

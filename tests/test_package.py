@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import sentiq
-from sentiq.cli import CONFIG_KEYS
+from sentiq.cli import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +49,6 @@ def test_readme_configuration_table_lists_exactly_the_config_keys():
     rows = [line for line in section.splitlines() if line.startswith("|")]
     listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert len(listed) == len(set(listed)), listed
-    assert set(listed) == CONFIG_KEYS, {
-        "undocumented": CONFIG_KEYS - set(listed), "not a key": set(listed) - CONFIG_KEYS
+    assert set(listed) == set(SETTINGS), {
+        "undocumented": set(SETTINGS) - set(listed), "not a key": set(listed) - set(SETTINGS)
     }
