@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .corpus import DayBucket
+from .corpus import DayBucket, _by_time_then_id
 
 
 class Attribute(str, enum.Enum):
@@ -27,8 +28,10 @@ def rank_and_halve(bucket: DayBucket, attribute: Attribute) -> DayBucket:
     The kept records are ordered by the attribute, highest first, not by time;
     ties rank the earlier timestamp first, then the smaller id.
     """
-    name = attribute.value
-    ordered = sorted(bucket.tweets, key=lambda r: (-getattr(r, name), r.timestamp, r.id))
+    # Two stable sorts with C keys: a stable sort keeps equal elements in
+    # order under reverse=True too, so ties stay in (timestamp, id) order.
+    ordered = sorted(bucket.tweets, key=_by_time_then_id)
+    ordered.sort(key=attrgetter(attribute.value), reverse=True)
     return DayBucket(bucket.date, tuple(ordered[: (len(ordered) + 1) // 2]))
 
 

@@ -242,6 +242,8 @@ def csv_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[st
                         f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
                 yield reader.line_num, row
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path}: not UTF-8 text: {exc.reason}") from None
 

@@ -100,6 +100,8 @@ class AgentConfig:
             raise QLearnError(f"episodes must be >= 1, got {self.episodes}")
         if not self.price_bucket_width > 0:
             raise QLearnError(f"price_bucket_width must be positive, got {self.price_bucket_width}")
+        if not math.isfinite(self.price_max):
+            raise QLearnError(f"price_max must be finite, got {self.price_max}")
         if not self.price_max > self.price_bucket_width:
             raise QLearnError(
                 f"price_max {self.price_max} must exceed price_bucket_width {self.price_bucket_width}"

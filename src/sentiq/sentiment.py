@@ -89,6 +89,14 @@ def compound_of(raw_sum: float) -> float:
 def score(text: str, lexicon: Lexicon) -> float:
     """One text's compound; texts with no lexicon hits score 0."""
     total = 0.0
+    if "!" not in text:
+        # No token carries emphasis, and 1.292 ** 0 == 1.0, so adding the hits
+        # as they are, left to right, gives the same bits as the loop below.
+        # Not sum(): from Python 3.12 it compensates, which changes the bits.
+        for valence in map(lexicon.get, text.split()):
+            if valence is not None:
+                total += valence
+        return compound_of(total)
     for token in text.split():
         bangs = 0
         while token.endswith("!"):

@@ -125,6 +125,20 @@ def o_clean(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Lexicon scoring, from ``sentiq.sentiment``'s docstring: per whitespace token,
+# the valence of the token without its trailing ``!`` times 1.292 per ``!``
+# (at most three), summed left to right and squashed by s / sqrt(s^2 + 15).
+
+def o_score(text: str, lexicon) -> float:
+    s = 0.0
+    for token in text.split():
+        word = token.rstrip("!")
+        if word and word in lexicon:
+            s += lexicon[word] * 1.292 ** min(len(token) - len(word), 3)
+    return s / math.sqrt(s * s + 15.0)
+
+
+# ---------------------------------------------------------------------------
 # UTC calendar days.
 
 def o_utc_day(timestamp: int) -> dt.date:

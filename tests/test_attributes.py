@@ -144,3 +144,27 @@ def test_kept_values_dominate_dropped(counts):
     dropped = [t.followers for t in bucket.tweets if t.id not in kept_ids]
     if dropped:
         assert min(kept) >= max(dropped)
+
+
+# Few values per field, so most draws tie on the attribute, on the timestamp,
+# or on both; ids repeat too, which leaves the input order to break full ties.
+tied_records = st.builds(
+    make_tweet,
+    id=st.sampled_from(("a", "b", "c", "d")),
+    timestamp=st.integers(min_value=T0, max_value=T0 + 3),
+    text=st.sampled_from(("x", "y", "z")),
+    followers=st.integers(min_value=0, max_value=2),
+    comments=st.integers(min_value=0, max_value=2),
+    likes=st.integers(min_value=0, max_value=2),
+    retweets=st.integers(min_value=0, max_value=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tied_records, max_size=30), st.sampled_from(ALL_ATTRIBUTES))
+def test_rank_and_halve_matches_the_one_key_sort(records, attribute):
+    name = attribute.value
+    expected = sorted(records, key=lambda r: (-getattr(r, name), r.timestamp, r.id))
+    expected = expected[: (len(records) + 1) // 2]
+    out = rank_and_halve(DayBucket(D0, tuple(records)), attribute)
+    assert out.tweets == tuple(expected)

@@ -729,6 +729,41 @@ def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path):
     assert_not_utf8_error(code, err, bad)
 
 
+def test_csv_field_over_the_size_limit_exits_1_with_one_line(tmp_path):
+    limit = csv.field_size_limit()
+    tweets = tmp_path / "tweets.csv"
+    tweets.write_bytes(
+        TWEETS_HEADER + b"a,1609459200,up,1,0,0,0\n"
+        + b"b,1609459201," + b"x" * (limit + 1) + b",1,0,0,0\n"
+    )
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(PRICES)
+    code, _, err = run_cli(
+        ["sentiment", "--tweets", tweets, "--prices", prices, "--out", "s.csv"], cwd=tmp_path
+    )
+    assert code == 1
+    assert err == f"error: {tweets}:3: field larger than field limit ({limit})\n"
+
+    bad_prices = tmp_path / "bad_prices.csv"
+    bad_prices.write_bytes(PRICES + b"2021-01-03," + b"1" * (limit + 1) + b"\n")
+    code, _, err = run_cli(["evaluate", "--actual", bad_prices, "--predicted", prices], cwd=tmp_path)
+    assert code == 1
+    assert err == f"error: {bad_prices}:4: field larger than field limit ({limit})\n"
+
+
+def test_non_finite_price_max_exits_1_naming_the_field(cli_corpus):
+    root, tweets, prices = cli_corpus
+    cfg = root / "inf.cfg"
+    cfg.write_text("price_max = inf\n", encoding="utf-8")
+    code, _, err = run_cli(
+        ["train", "--config", cfg, "--tweets", tweets, "--prices", prices, "--out", "inf.model"],
+        cwd=root,
+    )
+    assert code == 1
+    assert err == "error: price_max must be finite, got inf\n"
+    assert not (root / "inf.model").exists()
+
+
 def test_lexicon_that_is_not_utf8_exits_1_naming_the_file(tmp_path):
     tweets = tmp_path / "tweets.csv"
     tweets.write_bytes(TWEETS_HEADER + b"a,1609459200,up,1,0,0,0\n")

@@ -389,6 +389,20 @@ def test_load_prices_gap_names_missing_day(tmp_path):
         load_prices(path)
 
 
+def test_csv_field_over_the_size_limit_names_the_line(tmp_path):
+    limit = csv.field_size_limit()
+    tweets = write_lines(
+        tmp_path / "t.csv",
+        [HEADER, f"a,{T0},up,1,0,0,0", f"b,{T0 + 1},{'x' * (limit + 1)},1,0,0,0"],
+    )
+    message = rf"t\.csv:3: field larger than field limit \({limit}\)$"
+    with pytest.raises(CorpusError, match=message):
+        load_tweets(tweets)
+    prices = write_lines(tmp_path / "p.csv", ["date,price", "2021-03-01," + "1" * (limit + 1)])
+    with pytest.raises(CorpusError, match=r"p\.csv:2: field larger than field limit"):
+        load_prices(prices)
+
+
 def test_load_prices_rounds_on_ingest(tmp_path):
     path = write_lines(tmp_path / "p.csv", ["date,price", "2021-03-01,99.999"])
     assert load_prices(path).prices == (100.0,)

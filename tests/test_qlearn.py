@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -87,6 +88,8 @@ def test_default_config_is_valid():
         {"state_mode": "prices"},
         {"seed": -1},
         {"seed": 2**64},
+        {"price_max": math.inf},
+        {"price_max": math.nan},
     ],
 )
 def test_config_rejects_bad_values(overrides):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
+from oracles import o_score
 from sentiq.attributes import Attribute, build_dataset
 from sentiq.corpus import DayBucket, bucket_by_day
 from sentiq.errors import LexiconError
@@ -156,6 +157,43 @@ def test_compound_bounds_and_sign():
 def test_compound_is_odd_and_monotone(s):
     assert compound_of(-s) == pytest.approx(-compound_of(s), abs=1e-15)
     assert compound_of(s + 0.25) > compound_of(s)
+
+
+LEXICON_WORDS = ("pump", "dump", "moon", "rekt", "hodl", "fud")
+
+
+@st.composite
+def scored_texts(draw):
+    """A lexicon over ``LEXICON_WORDS`` and a text of its words, unknown words and ``!``.
+
+    Valences with two decimals, as in lexicon files, make sums that round,
+    so a summation that compensates or reorders shows in the bits. Half the
+    texts hold no ``!`` at all.
+    """
+    valence = st.one_of(
+        st.integers(min_value=-400, max_value=400).map(lambda n: n / 100),
+        st.floats(min_value=-4, max_value=4, allow_nan=False),
+    )
+    lexicon = draw(st.dictionaries(st.sampled_from(LEXICON_WORDS), valence, min_size=1))
+    word = st.sampled_from(LEXICON_WORDS + ("calm", "noise", "x"))
+    if draw(st.booleans()):
+        token = st.tuples(word, st.integers(min_value=0, max_value=4)).map(
+            lambda wb: wb[0] + "!" * wb[1]
+        )
+        token = st.one_of(token, st.sampled_from(("!", "!!!")))
+    else:
+        token = word
+    tokens = draw(st.lists(token, max_size=12))
+    separator = st.sampled_from((" ", "\t", "\n", " \t ", "\n\n"))
+    seps = draw(st.lists(separator, min_size=len(tokens), max_size=len(tokens)))
+    return Lexicon(lexicon), "".join(sep + tok for sep, tok in zip(seps, tokens))
+
+
+@settings(max_examples=500, deadline=None)
+@given(scored_texts())
+def test_score_matches_the_per_token_oracle_to_the_bit(case):
+    lexicon, text = case
+    assert score(text, lexicon).hex() == o_score(text, lexicon).hex()
 
 
 def test_negating_lexicon_negates_compound():
