@@ -55,7 +55,6 @@ SETTINGS: dict[str, type | tuple[str, ...]] = {
     **dict.fromkeys(("days", "tweets_per_day"), int),
     **dict.fromkeys(("rho", "base_price", "daily_vol"), float),
     **dict.fromkeys(("train_frac", "seconds", "target_vaf"), float),
-    "state": qlearn.STATE_MODES,
     "reward": qlearn.REWARD_KINDS,
     "attribute": (*(a.value for a in Attribute), "none"),
     "format": ("csv", "jsonl"),
@@ -103,18 +102,13 @@ def _options(args: argparse.Namespace) -> ChainMap:
     return ChainMap(flags, load_run_config(flags["config"]) if "config" in flags else {})
 
 
-def _given(opts: ChainMap, cls, **keys: str) -> dict:
-    """``cls``'s fields that were set, as keyword arguments.
-
-    ``keys`` names the setting behind a field when the two names differ; the
-    fields left out keep their dataclass defaults.
-    """
-    settings = {field.name: keys.get(field.name, field.name) for field in dataclasses.fields(cls)}
-    return {name: opts[key] for name, key in settings.items() if key in opts}
+def _given(opts: ChainMap, cls) -> dict:
+    """``cls``'s fields that were set, as keyword arguments; the rest keep their defaults."""
+    return {f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts}
 
 
 def _agent_config(opts: ChainMap) -> qlearn.AgentConfig:
-    return qlearn.AgentConfig(**_given(opts, qlearn.AgentConfig, state_mode="state"))
+    return qlearn.AgentConfig(**_given(opts, qlearn.AgentConfig))
 
 
 def _format(opts: ChainMap) -> str:
@@ -392,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _settings(p, "seed", help=seed_help)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", required=True)
-    _settings(p, "lexicon", "reward", "attribute", "state", "format")
+    _settings(p, "lexicon", "reward", "attribute", "format")
     p.add_argument("--log", help="write per-episode training log JSON here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -430,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (SentiqError, OSError) as exc:
+    except (SentiqError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

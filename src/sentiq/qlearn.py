@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -37,8 +38,6 @@ from .attributes import Attribute
 from .corpus import PriceSeries, round_price
 from .errors import AlignmentError, ModelFormatError, SentiqError
 from .sentiment import DailySignal
-
-STATE_MODES = ("price+sentiment", "price-only")
 
 _MAGIC = b"SQMODEL\x01"
 _VERSION = 1
@@ -61,7 +60,8 @@ class AgentConfig:
 
     ``action_min``/``action_max`` bound the percent moves the agent may pick;
     the default floor of -100 keeps predictions non-negative, and wider
-    ranges are honored with the prediction clamped at zero.
+    ranges are honored with the prediction clamped at zero. ``sentiment_bins = 1``
+    ignores the sentiment signal: every compound lands in bin 0.
     """
 
     gamma: float = 0.95
@@ -74,7 +74,6 @@ class AgentConfig:
     price_bucket_width: float = 500.0
     price_max: float = 100_000.0
     sentiment_bins: int = 21
-    state_mode: str = "price+sentiment"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -106,24 +105,30 @@ class AgentConfig:
             raise QLearnError(
                 f"price_max {self.price_max} must exceed price_bucket_width {self.price_bucket_width}"
             )
+        if not math.isfinite(self.price_max / self.price_bucket_width):
+            raise QLearnError(
+                f"price_max / price_bucket_width must be finite, "
+                f"got {self.price_max} / {self.price_bucket_width}"
+            )
         if self.sentiment_bins < 1 or self.sentiment_bins % 2 == 0:
             raise QLearnError(f"sentiment_bins must be odd and positive, got {self.sentiment_bins}")
-        if self.state_mode not in STATE_MODES:
-            raise QLearnError(f"state_mode must be one of {STATE_MODES}, got {self.state_mode!r}")
+        n_price, n_sentiment, n_actions = self.table_shape
+        if n_price * n_sentiment * n_actions * 8 > sys.maxsize:
+            raise QLearnError(
+                f"price_max / price_bucket_width, sentiment_bins and action_min..action_max give "
+                f"a {n_price:.3g} x {n_sentiment} x {n_actions} Q-table, over sys.maxsize bytes"
+            )
         if not 0 <= self.seed < 2**64:
             raise QLearnError("seed must be an unsigned 64-bit integer")
 
     @property
-    def n_price_bins(self) -> int:
-        return -int(-self.price_max // self.price_bucket_width)
-
-    @property
-    def n_sentiment_bins(self) -> int:
-        return self.sentiment_bins if self.state_mode == "price+sentiment" else 1
-
-    @property
     def n_actions(self) -> int:
         return self.action_max - self.action_min + 1
+
+    @property
+    def table_shape(self) -> tuple[int, int, int]:
+        """The Q-table's (price bins, sentiment bins, actions)."""
+        return -int(-self.price_max // self.price_bucket_width), self.sentiment_bins, self.n_actions
 
 
 class State(NamedTuple):
@@ -138,8 +143,6 @@ def discretize_state(prev_price: float, prev_compound: float, cfg: AgentConfig) 
             f"price {prev_price} outside the representable range [0, {cfg.price_max})"
         )
     price_bin = int(prev_price // cfg.price_bucket_width)
-    if cfg.state_mode == "price-only":
-        return State(price_bin, 0)
     raw = int(np.floor((prev_compound + 1.0) / 2.0 * cfg.sentiment_bins))
     sentiment_bin = min(max(raw, 0), cfg.sentiment_bins - 1)
     return State(price_bin, sentiment_bin)
@@ -238,8 +241,7 @@ class QModel:
     def zeros(
         cls, cfg: AgentConfig, reward: str | None = None, attribute: Attribute | None = None
     ) -> "QModel":
-        shape = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
-        return cls(cfg, np.zeros(shape, dtype=np.float64), reward, attribute)
+        return cls(cfg, np.zeros(cfg.table_shape, dtype=np.float64), reward, attribute)
 
     def greedy_action(self, s: State) -> int:
         """Highest-Q percent for a state; ties resolve to the smallest percent."""
@@ -457,7 +459,7 @@ def predict_series(
 def save_model(model: QModel, path: str | Path) -> None:
     """Serialize a model: magic, version, JSON config block, row-major table."""
     meta = {
-        "agent": asdict(model.config),
+        "agent": {**asdict(model.config), "state_mode": "price+sentiment"},
         "reward": model.reward,
         "attribute": model.attribute,
     }
@@ -490,7 +492,13 @@ def load_model(path: str | Path) -> QModel:
             raise ModelFormatError(f"{path}: truncated model file")
         try:
             meta = json.loads(blob.decode("utf-8"))
-            cfg = AgentConfig(**meta["agent"])
+            agent = {**meta["agent"]}
+            layout = agent.pop("state_mode", None)
+            if layout == "price-only":  # a file from before sentiment_bins = 1 replaced this mode
+                agent["sentiment_bins"] = 1
+            elif layout != "price+sentiment":
+                raise ValueError(f"unknown state_mode {layout!r}")
+            cfg = AgentConfig(**agent)
         except (ValueError, KeyError, TypeError, QLearnError) as exc:
             raise ModelFormatError(f"{path}: bad config block: {exc}") from None
         for name, known in (("reward", REWARD_KINDS), ("attribute", _ATTRIBUTE_NAMES)):
@@ -499,7 +507,7 @@ def load_model(path: str | Path) -> QModel:
                     f"{path}: unknown {name} {meta[name]!r}, expected one of {known}"
                 )
         shape = struct.unpack("<III", shape_bytes)
-        expected = (cfg.n_price_bins, cfg.n_sentiment_bins, cfg.n_actions)
+        expected = cfg.table_shape
         if shape != expected:
             raise ModelFormatError(f"{path}: table shape {shape} does not match config {expected}")
         table = np.empty(shape, dtype="<f8")

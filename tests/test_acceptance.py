@@ -149,7 +149,7 @@ def test_acceptance_02_bellman_updates(capsys):
         action_max=1,
         price_bucket_width=500.0,
         price_max=1000.0,
-        state_mode="price-only",
+        sentiment_bins=1,
         episodes=1,
     )
 

@@ -164,7 +164,6 @@ CHOICE_ARGV = {
         ("attribute", "followers|comments|likes|retweets|none"),
         ("format", "csv|jsonl"),
         ("reward", "sdr|rdr|cdr"),
-        ("state", "price+sentiment|price-only"),
     ],
 )
 def test_config_value_outside_its_choices_exits_1_naming_the_line(
@@ -197,7 +196,7 @@ def test_every_settings_flag_is_typed_from_settings():
     # Agent hyperparameters are config-only.
     assert flagged == {
         "seed", "days", "tweets_per_day", "rho", "base_price", "daily_vol", "format", "prices",
-        "attribute", "lexicon", "reward", "state", "seconds", "target_vaf", "train_frac",
+        "attribute", "lexicon", "reward", "seconds", "target_vaf", "train_frac",
     }
 
 
@@ -230,7 +229,8 @@ def test_config_precedence_flag_beats_file_beats_default(tmp_path):
             cwd=tmp_path,
         )
         assert code == 0, err
-        return sum(1 for _ in out_t.open()) - 1  # drop the header
+        with out_t.open() as handle:
+            return sum(1 for _ in handle) - 1  # drop the header
 
     assert rows("default", ["--tweets-per-day", 2]) == 100 * 2  # built-in default days
     assert rows("fromfile", ["--config", cfg]) == 30 * 2
@@ -762,6 +762,33 @@ def test_non_finite_price_max_exits_1_naming_the_field(cli_corpus):
     assert code == 1
     assert err == "error: price_max must be finite, got inf\n"
     assert not (root / "inf.model").exists()
+
+
+# Each table or corpus array is far above 2**47 bytes, the x86-64 user address
+# space, so no allocation of it can succeed, whatever the memory overcommit policy.
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("train", "price_bucket_width = 5e-324"),  # infinitely many price bins
+        ("train", "price_bucket_width = 1e-200"),  # a table over sys.maxsize bytes
+        ("train", "action_max = 1000000000000"),  # 29.8 PiB
+        ("train", "sentiment_bins = 999999999999"),  # 1.53 EiB
+        ("synth", "days = 100000000000000"),
+        ("synth", "tweets_per_day = 100000000000000"),
+    ],
+)
+def test_an_impossible_table_or_corpus_exits_1_with_one_line(cli_corpus, tmp_path, command, line):
+    _, tweets, prices = cli_corpus
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    files = ["--tweets", tweets, "--prices", prices, "--out", "m.bin"]
+    code, _, err = run_cli(
+        [command, "--config", cfg, *(files if command == "train" else CHOICE_ARGV[command])],
+        cwd=tmp_path,
+    )
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [path.name for path in tmp_path.iterdir()] == ["huge.cfg"]
 
 
 def test_lexicon_that_is_not_utf8_exits_1_naming_the_file(tmp_path):

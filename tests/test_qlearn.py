@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import struct
 
@@ -8,12 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from helpers import make_series, make_signals
+from helpers import attribute_signal_series, make_series, make_signals
 from sentiq.attributes import Attribute
 from sentiq.errors import AlignmentError, ModelFormatError
 from sentiq.qlearn import (
     CDR,
     RDR,
+    REWARD_KINDS,
     SDR,
     AgentConfig,
     QLearnError,
@@ -36,16 +39,18 @@ from sentiq.qlearn import (
     training_days,
     zero_reward_points,
 )
+from sentiq.sentiment import builtin_lexicon
+from sentiq.synth import SynthConfig, gen_corpus
 
 
 def one_state_config(**overrides):
-    """A single-price-bin, price-only grid so every day maps to State(0, 0)."""
+    """A grid of one price bin and one sentiment bin, so every day maps to State(0, 0)."""
     defaults = dict(
         action_min=0,
         action_max=1,
         price_bucket_width=500.0,
         price_max=1000.0,
-        state_mode="price-only",
+        sentiment_bins=1,
         episodes=1,
     )
     defaults.update(overrides)
@@ -62,8 +67,7 @@ def test_default_config_is_valid():
     assert cfg.theta == 0.1
     assert (cfg.action_min, cfg.action_max) == (-100, 1000)
     assert cfg.n_actions == 1101
-    assert cfg.n_price_bins == 200
-    assert cfg.n_sentiment_bins == 21
+    assert cfg.table_shape == (200, 21, 1101)
 
 
 @pytest.mark.parametrize(
@@ -85,11 +89,12 @@ def test_default_config_is_valid():
         {"price_max": 400.0, "price_bucket_width": 500.0},
         {"sentiment_bins": 0},
         {"sentiment_bins": 20},
-        {"state_mode": "prices"},
+        {"price_bucket_width": 5e-324},
         {"seed": -1},
         {"seed": 2**64},
         {"price_max": math.inf},
         {"price_max": math.nan},
+        {"price_bucket_width": 1e-200},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -99,12 +104,12 @@ def test_config_rejects_bad_values(overrides):
 
 def test_price_bin_count_rounds_up():
     cfg = AgentConfig(price_bucket_width=300.0, price_max=1000.0)
-    assert cfg.n_price_bins == 4
+    assert cfg.table_shape[0] == 4
 
 
 def test_price_only_mode_collapses_sentiment_axis():
-    cfg = AgentConfig(state_mode="price-only")
-    assert cfg.n_sentiment_bins == 1
+    cfg = AgentConfig(sentiment_bins=1)
+    assert cfg.table_shape == (200, 1, 1101)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,8 @@ def test_discretize_rejects_out_of_range_price():
 
 
 def test_price_only_mode_ignores_signal():
-    cfg = AgentConfig(state_mode="price-only")
+    cfg = AgentConfig(sentiment_bins=1)
+    assert cfg.table_shape[1] == 1
     assert discretize_state(100.0, 0.9, cfg) == State(0, 0)
     assert discretize_state(100.0, -0.9, cfg) == State(0, 0)
 
@@ -608,6 +614,29 @@ def test_train_constant_series_learns_zero_percent():
     assert log.mean_rewards[-1] == 0.0
 
 
+# sha256 of the trained table's bytes when the same grid was spelled
+# state_mode="price-only" (with sentiment_bins left at 21), before that mode
+# was removed.
+PRICE_ONLY_TABLE_SHA256 = {
+    SDR: "6436b0385efb40b84cb8498e3d58eda1aa9b30f106fb6782a394eddcfc863153",
+    RDR: "7e751c0a8f42d6cbfdaa73d0fec180618ace57f55c1c3651b960365f18ee9265",
+    CDR: "fa9c7b95ac9009fd762138a65eb12a44544360ba829ca7506e0b897742d0fc11",
+}
+
+
+@pytest.mark.parametrize("kind", REWARD_KINDS)
+def test_one_sentiment_bin_trains_the_price_only_table(kind):
+    tweets, series = gen_corpus(SynthConfig(days=60, tweets_per_day=20, seed=4))
+    signals = attribute_signal_series(tweets, series, builtin_lexicon(), Attribute.FOLLOWERS)
+    cfg = AgentConfig(
+        action_min=-8, action_max=8, price_bucket_width=2000.0, sentiment_bins=1,
+        episodes=50, seed=3,
+    )
+    model, _ = train(series, signals, kind, cfg)
+    assert model.table.shape == (50, 1, 17)
+    assert hashlib.sha256(model.table.tobytes()).hexdigest() == PRICE_ONLY_TABLE_SHA256[kind]
+
+
 def test_train_validates_inputs():
     series, signals = aligned_inputs([100.0, 101.0, 102.0])
     cfg = AgentConfig(action_min=-5, action_max=5)
@@ -761,3 +790,64 @@ def test_load_rejects_unknown_attribute_and_reward(tmp_path):
             load_model(path)
     save_model(QModel.zeros(cfg), path)
     assert (load_model(path).reward, load_model(path).attribute) == (None, None)
+
+
+def write_v1_model(path, agent, table):
+    """A format-1 model file built by hand: magic, version, JSON header, shape, table."""
+    blob = json.dumps({"agent": agent, "attribute": "followers", "reward": "rdr"}).encode()
+    path.write_bytes(
+        b"SQMODEL\x01"
+        + struct.pack("<II", 1, len(blob))
+        + blob
+        + struct.pack("<III", *table.shape)
+        + table.astype("<f8").tobytes()
+    )
+
+
+# A v1 file's agent block without its state_mode key.
+V1_FIELDS = {
+    "action_max": 2, "action_min": -2, "episodes": 5, "epsilon_end": 0.01,
+    "epsilon_start": 1.0, "gamma": 0.95, "price_bucket_width": 500.0, "price_max": 1000.0,
+    "seed": 7, "sentiment_bins": 21, "theta": 0.1,
+}
+
+
+def test_load_reads_a_price_only_file_as_one_sentiment_bin(tmp_path):
+    table = np.zeros((2, 1, 5))
+    table[0, 0, 3] = 1.0  # price bin 0: +1 %
+    table[1, 0, 0] = 1.0  # price bin 1: -2 %
+    path = tmp_path / "price_only.bin"
+    write_v1_model(path, {**V1_FIELDS, "state_mode": "price-only"}, table)
+    model = load_model(path)
+    assert model.config == AgentConfig(**{**V1_FIELDS, "sentiment_bins": 1})
+    assert (model.reward, model.attribute) == (RDR, Attribute.FOLLOWERS)
+    assert np.array_equal(model.table, table)
+    series = make_series([400.0, 480.0, 510.0, 620.0, 499.99])
+    signals = make_signals(series, [-0.9, 0.4, 0.95, -0.2, 0.0])
+    # The predictions the file gave when price-only was a state mode of its own.
+    assert predict_series(model, series, signals) == (404.0, 484.8, 499.8, 607.6)
+    # Saved again, it carries the one layout every table now has.
+    save_model(model, path)
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", data, 12)
+    saved = json.loads(data[16 : 16 + blob_len])["agent"]
+    assert (saved["state_mode"], saved["sentiment_bins"]) == ("price+sentiment", 1)
+    assert np.array_equal(load_model(path).table, table)
+
+
+@pytest.mark.parametrize(
+    "agent",
+    [
+        {**V1_FIELDS, "state_mode": "prices"},
+        V1_FIELDS,
+        [["state_mode", "price-only"]],
+        "price-only",
+        None,
+    ],
+    ids=["unknown-state-mode", "missing-state-mode", "list", "string", "null"],
+)
+def test_load_rejects_a_bad_state_mode_or_agent_block(tmp_path, agent):
+    path = tmp_path / "m.bin"
+    write_v1_model(path, agent, np.zeros((2, 1, 5)))
+    with pytest.raises(ModelFormatError, match=r"m\.bin: bad config block: "):
+        load_model(path)
