@@ -28,7 +28,6 @@ Accuracy is variance-accounted-for on a chronological held-out tail.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -111,7 +110,10 @@ def chronological_split(
 
 @dataclass(frozen=True)
 class ApproachResult:
-    """One pipeline's outcome within a comparison."""
+    """One pipeline's outcome within a comparison.
+
+    ``final_vaf`` is NaN when the held-out VAF is undefined; ``to_dict`` gives ``None``.
+    """
 
     approach: str
     tweets_utilized: int
@@ -131,7 +133,7 @@ class ApproachResult:
             "wall_seconds": self.wall_seconds,
             "cpu_seconds": self.cpu_seconds,
             "episodes_run": self.episodes_run,
-            "final_vaf": self.final_vaf,
+            "final_vaf": self.final_vaf if math.isfinite(self.final_vaf) else None,
             "converged": self.converged,
             "resources": self.resources.to_dict(),
         }
@@ -153,9 +155,6 @@ class ComparisonReport:
             "classic": self.classic.to_dict(),
             "proposed": self.proposed.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _held_out(model: QModel, days: TrainingDays) -> tuple[tuple, float]:

@@ -15,7 +15,7 @@ first and ranks the cleaned rows it writes.
 Every value can come from three layers with rising precedence: built-in
 defaults, a ``--config`` file of flat ``key = value`` lines, then explicit
 flags, typed and checked by :data:`SETTINGS`. A config line with an unknown
-key or a bad value stops the run with the file and line. All outputs go to
+or repeated key or a bad value stops the run with the file and line. All outputs go to
 explicit ``--out`` style paths; nothing is written implicitly.
 
 Exit codes: 0 success, 1 failure (one-line message on stderr), 2 usage.
@@ -24,13 +24,10 @@ Exit codes: 0 success, 1 failure (one-line message on stderr), 2 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import datetime as dt
 import functools
 import json
 import logging
-import math
 import re
 import sys
 from collections import ChainMap
@@ -66,6 +63,7 @@ SETTINGS: dict[str, type | tuple[str, ...]] = {
 def load_run_config(path: str | Path) -> dict[str, int | float | str]:
     """Parse a flat ``key = value`` config file, casting and checking each value by ``SETTINGS``."""
     values: dict[str, int | float | str] = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     with Path(path).open(encoding="utf-8") as handle:
         try:
             lines = list(handle)
@@ -81,6 +79,9 @@ def load_run_config(path: str | Path) -> dict[str, int | float | str]:
             key, value = key.strip(), value.strip()
             if key not in SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
             kind = SETTINGS[key]
             if isinstance(kind, tuple) and value not in kind:
                 raise ConfigError(
@@ -169,6 +170,11 @@ def _cleaned_rows(buckets) -> tuple[corpus.DayBucket, ...]:
     return tuple(days)
 
 
+def _write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     opts = _options(args)
     tweets, series = synth.gen_corpus(synth.SynthConfig(**_given(opts, synth.SynthConfig)))
@@ -203,7 +209,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         "tweets": dataset.total_tweets,
     }
     meta_path = Path(str(args.out) + ".meta.json")
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _write_json(meta_path, meta)
     print(f"wrote {n} tweets to {args.out} (attribute={meta['attribute']}, sidecar {meta_path})")
     return 0
 
@@ -211,13 +217,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_sentiment(args: argparse.Namespace) -> int:
     opts = _options(args)
     series, signals = _signal_pipeline(opts, _attribute(opts))
-    with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "mean_compound", "tweet_count"])
-        for signal in signals:
-            writer.writerow(
-                [signal.date.isoformat(), f"{signal.mean_compound:.6f}", signal.tweet_count]
-            )
+    rows = ((s.date.isoformat(), f"{s.mean_compound:.6f}", s.tweet_count) for s in signals)
+    corpus.write_csv(args.out, ("date", "mean_compound", "tweet_count"), rows)
     print(f"wrote {len(signals)} daily signals to {args.out}")
     return 0
 
@@ -231,14 +232,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, log = qlearn.train(series, signals, reward, cfg, attribute=attribute)
     qlearn.save_model(model, args.out)
     if args.log:
-        Path(args.log).write_text(
-            json.dumps(
-                {"mean_rewards": list(log.mean_rewards), "epsilons": list(log.epsilons)},
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.log, {"mean_rewards": log.mean_rewards, "epsilons": log.epsilons})
     print(
         f"trained {reward} model on {len(series)} days "
         f"({log.episodes} episodes, final mean reward {log.mean_rewards[-1]:.4f}); "
@@ -252,40 +246,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = qlearn.load_model(args.model)
     series, signals = _signal_pipeline(opts, model.attribute)
     predictions = qlearn.predict_series(model, series, signals)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "price"])
-        for date, price in zip(series.dates[1:], predictions):
-            writer.writerow([date.isoformat(), f"{price:.2f}"])
+    corpus.write_dated_prices(series.dates[1:], predictions, args.out)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
 
 
-def _load_series_file(path: str | Path) -> dict[dt.date, float]:
-    """date,price CSV as a mapping; prices must be finite, no contiguity/positivity constraints."""
-    out: dict[dt.date, float] = {}
-    path = Path(path)
-    for line, (day, price) in corpus.csv_rows(path, ("date", "price")):
-        where = f"{path}:{line}"
-        try:
-            date = dt.date.fromisoformat(day)
-        except ValueError:
-            raise CorpusError(f"{where}: field 'date': not an ISO date: {day!r}") from None
-        try:
-            value = float(price)
-            if not math.isfinite(value):
-                raise ValueError
-        except ValueError:
-            raise CorpusError(f"{where}: field 'price': not a finite number: {price!r}") from None
-        if date in out:
-            raise CorpusError(f"{where}: duplicate date {date}")
-        out[date] = value
-    return out
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    actual = _load_series_file(args.actual)
-    predicted = _load_series_file(args.predicted)
+    actual = corpus.load_dated_prices(args.actual)
+    predicted = corpus.load_dated_prices(args.predicted)
     shared = sorted(set(actual) & set(predicted))
     if len(shared) < 2:
         raise CorpusError(
@@ -294,7 +262,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate([actual[d] for d in shared], [predicted[d] for d in shared])
     print(report.format_table())
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_json(args.out, report.to_dict())
         print(f"wrote report to {args.out}")
     return 0
 
@@ -313,7 +281,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"vaf={result.final_vaf:.2f}{flag}"
         )
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_json(args.out, report.to_dict())
         print(f"wrote report to {args.out}")
     return 0
 

@@ -11,9 +11,11 @@ File formats:
 * prices (CSV): header ``date,price``; ISO dates, one row per calendar day with
   no gaps, strictly increasing (a row out of order or after a gap is an error
   naming its line); prices are positive and rounded to two fraction digits
-  (half away from zero) on ingest.
+  (half away from zero) on ingest. ``evaluate`` reads any finite prices, in
+  any order and with gaps (:func:`load_dated_prices`).
 
-A file that is not UTF-8 text stops the load with an error naming the file.
+Every CSV file the CLI writes goes through :func:`write_csv`. A file that is
+not UTF-8 text stops the load with an error naming the file.
 Day bucketing uses UTC calendar days throughout.
 """
 
@@ -23,6 +25,7 @@ import csv
 import datetime as dt
 import json
 import logging
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
@@ -36,6 +39,7 @@ from .errors import CorpusError
 logger = logging.getLogger(__name__)
 
 TWEET_FIELDS = ("id", "timestamp", "text", "followers", "comments", "likes", "retweets")
+PRICE_FIELDS = ("date", "price")
 _COUNT_FIELDS = ("followers", "comments", "likes", "retweets")
 _INT_FIELDS = ("timestamp", *_COUNT_FIELDS)
 _INT_INDEXES = tuple(TWEET_FIELDS.index(name) for name in _INT_FIELDS)
@@ -221,6 +225,14 @@ def _build_record(fields: Sequence) -> TweetRecord:
     return TweetRecord(*fields)
 
 
+def _iso_date(path: Path, line: int, day: str) -> dt.date:
+    """The ``date`` field of a ``date,price`` row."""
+    try:
+        return dt.date.fromisoformat(day)
+    except ValueError:
+        raise CorpusError(f"{path}:{line}: field 'date': not an ISO date: {day!r}") from None
+
+
 def csv_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """``(line number, fields)`` for each non-blank row of a CSV file with ``header``."""
     expected = ",".join(header)
@@ -364,10 +376,7 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
     path = Path(path)
     records = list(records)
     if format == "csv":
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(TWEET_FIELDS)
-            writer.writerows(records)
+        write_csv(path, TWEET_FIELDS, records)
     elif format == "jsonl":
         quote = encode_basestring_ascii
         with path.open("w", encoding="utf-8") as handle:
@@ -388,11 +397,8 @@ def load_prices(path: str | Path) -> PriceSeries:
     path = Path(path)
     start: dt.date | None = None
     prices: list[float] = []
-    for line, (day, price) in csv_rows(path, ("date", "price")):
-        try:
-            date = dt.date.fromisoformat(day)
-        except ValueError:
-            raise CorpusError(f"{path}:{line}: field 'date': not an ISO date: {day!r}") from None
+    for line, (day, price) in csv_rows(path, PRICE_FIELDS):
+        date = _iso_date(path, line, day)
         try:
             value = round_price(price)
         except CorpusError:
@@ -411,13 +417,39 @@ def load_prices(path: str | Path) -> PriceSeries:
 
 
 def write_prices(series: PriceSeries, path: str | Path) -> int:
+    return write_dated_prices(series.dates, series.prices, path)
+
+
+def load_dated_prices(path: str | Path) -> dict[dt.date, float]:
+    """A ``date,price`` CSV as a mapping: any finite prices, no repeated date."""
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    out: dict[dt.date, float] = {}
+    for line, (day, price) in csv_rows(path, PRICE_FIELDS):
+        date = _iso_date(path, line, day)
+        try:
+            value = float(price)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise CorpusError(f"{path}:{line}: field 'price': not a finite number: {price!r}")
+        if date in out:
+            raise CorpusError(f"{path}:{line}: duplicate date {date}")
+        out[date] = value
+    return out
+
+
+def write_dated_prices(dates: Iterable[dt.date], prices: Sequence[float], path: str | Path) -> int:
+    """Write ``date,price`` rows (ISO dates, two fraction digits); returns the row count."""
+    write_csv(path, PRICE_FIELDS, ((d.isoformat(), f"{p:.2f}") for d, p in zip(dates, prices)))
+    return len(prices)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file: UTF-8, the header row first, every line ended by CRLF."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["date", "price"])
-        for date, price in zip(series.dates, series.prices):
-            writer.writerow([date.isoformat(), f"{price:.2f}"])
-    return len(series)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def bucket_all_days(records: Iterable[TweetRecord]) -> tuple[DayBucket, ...]:

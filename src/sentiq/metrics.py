@@ -9,7 +9,6 @@ one formula (1 - RSS/TSS) and always return identical values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -110,9 +109,6 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def format_table(self) -> str:
         header = f"{'VAF(%)':>10} {'R2':>10} {'MAPE(%)':>10} {'NSE':>10} {'RMSE':>12} {'WMAPE(%)':>10} {'n':>6}"

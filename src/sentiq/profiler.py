@@ -20,7 +20,6 @@ platforms need the optional ``psutil`` package (``pip install sentiq[psutil]``).
 from __future__ import annotations
 
 import io
-import json
 import os
 import threading
 import time
@@ -74,9 +73,6 @@ class ResourceReport:
             "wall_seconds": self.wall_seconds,
             "interval": self.interval,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def samples_csv(self) -> str:
         out = io.StringIO()

@@ -330,14 +330,18 @@ def training_days(
     """Discretize each day once on ``cfg``'s grid, for one training run or prediction pass.
 
     Every price is checked here, once per run: :class:`~sentiq.corpus.PriceSeries`
-    holds it positive and :func:`discretize_state` inside the grid's range.
+    holds it positive and :func:`discretize_state` inside the grid's range; a
+    price outside it stops the run naming its day and ``price_max``.
     """
     index: dict[State, int] = {}
-    rows = tuple(
-        index.setdefault(discretize_state(price, signal.mean_compound, cfg), len(index))
-        for price, signal in zip(prices.prices, signals)
-    )
-    return TrainingDays(prices.prices, tuple(index), rows, tuple({} for _ in rows))
+    rows = []
+    for t, (price, signal) in enumerate(zip(prices.prices, signals)):
+        try:
+            state = discretize_state(price, signal.mean_compound, cfg)
+        except QLearnError as exc:
+            raise QLearnError(f"{prices.dates[t]}: {exc}; raise price_max above it") from None
+        rows.append(index.setdefault(state, len(index)))
+    return TrainingDays(prices.prices, tuple(index), tuple(rows), tuple({} for _ in rows))
 
 
 def run_episode(

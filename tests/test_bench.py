@@ -139,7 +139,7 @@ def test_cpu_seconds_is_reported_without_a_profiler_sample(corpus, lexicon):
     # The fake clock passes the deadline at the first check, so each approach
     # ends long before the profiler's first sample.
     report = compare(tweets, series, lexicon, small_bench(seconds=1.0), clock=stepping_clock(1.0))
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     for side in ("classic", "proposed"):
         result = getattr(report, side)
         assert result.resources.sample_count == 0
@@ -158,7 +158,7 @@ def test_fixed_time_final_vaf_matches_recompute(corpus, lexicon):
 def test_fixed_time_report_serialization(corpus, lexicon):
     tweets, series = corpus
     report = compare(tweets, series, lexicon, small_bench())
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload == report.to_dict()
     assert set(payload) == {"seconds", "target_vaf", "classic", "proposed"}
     for side in ("classic", "proposed"):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from helpers import attribute_signal_series, run_cli
 from sentiq.attributes import Attribute
 from sentiq.cli import SETTINGS, build_parser
-from sentiq.corpus import bucket_by_day, load_prices, load_tweets
+from sentiq.corpus import TWEET_FIELDS, bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
 from sentiq.qlearn import AgentConfig, QModel, load_model, save_model
 from sentiq.sentiment import builtin_lexicon
@@ -151,13 +152,28 @@ def test_config_file_errors_exit_1(tmp_path):
     assert "expected key = value" in err
 
 
-CHOICE_ARGV = {
+CONFIG_ARGV = {
     "synth": ["--out-tweets", "t.csv", "--out-prices", "p.csv"],
+    "preprocess": ["--tweets", "t.csv", "--out", "o.csv"],
+    "split": ["--tweets", "t.csv", "--out", "o.csv"],
+    "sentiment": ["--tweets", "t.csv", "--prices", "p.csv", "--out", "s.csv"],
     "train": ["--tweets", "t.csv", "--prices", "p.csv", "--out", "m.bin"],
+    "predict": ["--model", "m.bin", "--tweets", "t.csv", "--prices", "p.csv", "--out", "o.csv"],
+    "compare": ["--tweets", "t.csv", "--prices", "p.csv"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(CHOICE_ARGV))
+@pytest.mark.parametrize("command", sorted(CONFIG_ARGV))
+def test_a_repeated_config_key_exits_1_naming_both_lines(tmp_path, command):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("episodes = 5\n# again\nseed = 1\n episodes = 7\n", encoding="utf-8")
+    code, _, err = run_cli([command, "--config", cfg, *CONFIG_ARGV[command]], cwd=tmp_path)
+    assert code == 1
+    assert err == f"error: {cfg}:4: config key 'episodes' repeats line 1\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["twice.cfg"]
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
 @pytest.mark.parametrize(
     "key, choices",
     [
@@ -172,7 +188,7 @@ def test_config_value_outside_its_choices_exits_1_naming_the_line(
     # Checked as the file is read, like numbers, so synth rejects keys it never reads.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
-    code, _, err = run_cli([command, "--config", cfg, *CHOICE_ARGV[command]], cwd=tmp_path)
+    code, _, err = run_cli([command, "--config", cfg, *CONFIG_ARGV[command]], cwd=tmp_path)
     assert code == 1
     assert err == f"error: {cfg}:1: config key '{key}': expected one of {choices}, got 'bogus'\n"
 
@@ -216,6 +232,60 @@ def test_synth_outputs_are_deterministic(tmp_path):
     assert (tmp_path / "a/t.csv").read_bytes() == (tmp_path / "b/t.csv").read_bytes()
     assert (tmp_path / "a/p.csv").read_bytes() == (tmp_path / "b/p.csv").read_bytes()
     assert load_prices(tmp_path / "a/p.csv")
+
+
+# ---------------------------------------------------------------------------
+# output bytes: a CSV file is a header row then rows, each ended by "\r\n"; a
+# JSON file is json.dumps(payload, indent=2) and a newline. Perfbench's
+# digests pin predictions.csv, signals.csv, evaluate's report and the split
+# sidecar; the tests below pin the other files the CLI writes.
+
+
+def csv_bytes(header, rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def assert_indented_json(path):
+    text = path.read_bytes().decode("utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+def tweet_file_bytes(path, fmt) -> bytes:
+    records = load_tweets(path, format=fmt).records
+    if fmt == "csv":
+        return csv_bytes(TWEET_FIELDS, records)
+    return "".join(json.dumps(dict(zip(TWEET_FIELDS, r))) + "\n" for r in records).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_tweet_and_price_files_keep_their_bytes(tmp_path, fmt):
+    code, _, err = run_cli(
+        ["synth", "--days", 4, "--tweets-per-day", 5, "--seed", 2, "--format", fmt,
+         "--out-tweets", "tweets", "--out-prices", "prices.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    series = load_prices(tmp_path / "prices.csv")
+    assert (tmp_path / "prices.csv").read_bytes() == "".join(
+        ["date,price\r\n"]
+        + [f"{d.isoformat()},{p:.2f}\r\n" for d, p in zip(series.dates, series.prices)]
+    ).encode("utf-8")
+    for stage, extra in (("synth", None), ("preprocess", []), ("split", ["--attribute", "likes"])):
+        out = tmp_path / ("tweets" if extra is None else stage)
+        if extra is not None:
+            code, _, err = run_cli(
+                [stage, "--tweets", "tweets", "--prices", "prices.csv", "--format", fmt, *extra,
+                 "--out", out],
+                cwd=tmp_path,
+            )
+            assert code == 0, err
+        assert out.read_bytes() == tweet_file_bytes(out, fmt), stage
 
 
 def test_config_precedence_flag_beats_file_beats_default(tmp_path):
@@ -441,7 +511,8 @@ def test_train_then_predict_round_trip(cli_corpus, agent_cfg_file):
     assert model.config.action_min == -8
     assert model.config.seed == 7  # the flag beat any file/default value
 
-    log = json.loads(log_path.read_text(encoding="utf-8"))
+    log = assert_indented_json(log_path)
+    assert list(log) == ["mean_rewards", "epsilons"]
     assert len(log["mean_rewards"]) == 10
     assert len(log["epsilons"]) == 10
 
@@ -602,7 +673,7 @@ def test_compare_time_mode(cli_corpus, agent_cfg_file):
     )
     assert code == 0, err
     assert "classic" in stdout and "proposed" in stdout
-    payload = json.loads(out.read_text(encoding="utf-8"))
+    payload = assert_indented_json(out)
     assert payload["seconds"] == 10.0
     assert payload["target_vaf"] is None
     assert payload["classic"]["tweets_utilized"] == 240
@@ -626,6 +697,33 @@ def test_compare_target_mode(cli_corpus, agent_cfg_file):
     )
     assert code == 0, err
     assert stdout.count("converged=True") == 2
+
+
+def test_compare_report_writes_null_for_an_undefined_vaf(tmp_path):
+    code, _, err = run_cli(
+        ["synth", "--days", 30, "--tweets-per-day", 8, "--seed", 0,
+         "--out-tweets", "t.csv", "--out-prices", "p.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    # The budget runs out before five days are scored, so neither side has a VAF.
+    code, stdout, err = run_cli(
+        ["compare", "--tweets", "t.csv", "--prices", "p.csv", "--seconds", "1e-9",
+         "--out", "c.json"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    assert stdout.count("vaf=nan") == 2
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    text = (tmp_path / "c.json").read_text(encoding="utf-8")
+    payload = json.loads(text, parse_constant=reject)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    for side in ("classic", "proposed"):
+        assert payload[side]["final_vaf"] is None
+        assert payload[side]["episodes_run"] == 0
 
 
 def test_negative_numbers_with_an_exponent_are_values(tmp_path):
@@ -764,6 +862,51 @@ def test_non_finite_price_max_exits_1_naming_the_field(cli_corpus):
     assert not (root / "inf.model").exists()
 
 
+def test_a_price_on_or_above_price_max_names_its_day(tmp_path):
+    code, _, err = run_cli(
+        ["synth", "--days", 6, "--tweets-per-day", 4, "--seed", 5,
+         "--out-tweets", "tweets.csv", "--out-prices", "synth.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    days = load_prices(tmp_path / "synth.csv").dates
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "price_max = 20000\nepisodes = 2\naction_min = -8\naction_max = 8\n", encoding="utf-8"
+    )
+
+    def run(command, prices, extra):
+        (tmp_path / "prices.csv").write_text(
+            "date,price\n" + "".join(f"{d},{p}\n" for d, p in zip(days, prices)),
+            encoding="utf-8",
+        )
+        return run_cli(
+            [command, "--config", cfg, "--tweets", "tweets.csv", "--prices", "prices.csv",
+             *extra],
+            cwd=tmp_path,
+        )
+
+    code, _, err = run("train", ["20000.00", *["100.00"] * 5], ["--out", "bad.bin"])
+    assert code == 1
+    assert err == (
+        f"error: {days[0]}: price 20000.0 outside the representable range "
+        "[0, 20000.0); raise price_max above it\n"
+    )
+    assert not (tmp_path / "bad.bin").exists()
+
+    code, _, err = run("train", ["100.00"] * 6, ["--out", "model.bin"])
+    assert code == 0, err
+    code, _, err = run(
+        "predict", ["100.00", "120.00", "25000.00", *["100.00"] * 3],
+        ["--model", "model.bin", "--out", "predictions.csv"],
+    )
+    assert code == 1
+    assert err == (
+        f"error: {days[2]}: price 25000.0 outside the representable range "
+        "[0, 20000.0); raise price_max above it\n"
+    )
+
+
 # Each table or corpus array is far above 2**47 bytes, the x86-64 user address
 # space, so no allocation of it can succeed, whatever the memory overcommit policy.
 @pytest.mark.parametrize(
@@ -783,7 +926,7 @@ def test_an_impossible_table_or_corpus_exits_1_with_one_line(cli_corpus, tmp_pat
     cfg.write_text(line + "\n", encoding="utf-8")
     files = ["--tweets", tweets, "--prices", prices, "--out", "m.bin"]
     code, _, err = run_cli(
-        [command, "--config", cfg, *(files if command == "train" else CHOICE_ARGV[command])],
+        [command, "--config", cfg, *(files if command == "train" else CONFIG_ARGV[command])],
         cwd=tmp_path,
     )
     assert code == 1

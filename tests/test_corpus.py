@@ -372,6 +372,22 @@ def test_prices_round_trip(tmp_path):
     assert load_prices(path) == series
 
 
+def test_csv_writers_write_a_header_then_crlf_ended_rows(tmp_path):
+    series = make_series([100.0, 110.5, 99.01])
+    path = tmp_path / "p.csv"
+    write_prices(series, path)
+    assert path.read_bytes() == (
+        b"date,price\r\n2021-03-01,100.00\r\n2021-03-02,110.50\r\n2021-03-03,99.01\r\n"
+    )
+    records = [make_tweet("a,b", T0, 'say "hi"\nthere', followers=7), make_tweet("c", T0 + 1)]
+    write_tweets(records, path)
+    assert path.read_bytes() == (
+        b"id,timestamp,text,followers,comments,likes,retweets\r\n"
+        b'"a,b",1614556800,"say ""hi""\nthere",7,0,0,0\r\n'
+        b"c,1614556801,hello world,0,0,0,0\r\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # load_prices
 

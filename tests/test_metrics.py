@@ -137,7 +137,7 @@ def test_evaluate_composes_the_individual_metrics():
 
 def test_evaluate_json_and_table():
     report = evaluate([1.0, 2.0, 4.0], [1.5, 2.5, 3.5])
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert set(payload) == {"vaf", "r2", "mape", "nse", "rmse", "wmape", "n"}
     table = report.format_table()
     lines = table.splitlines()

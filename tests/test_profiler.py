@@ -37,7 +37,7 @@ def test_stop_before_first_sample_yields_empty_report():
 
 
 def test_empty_session_serializes_channels_as_null():
-    payload = json.loads(stop(start(interval=5.0)).to_json())
+    payload = json.loads(json.dumps(stop(start(interval=5.0)).to_dict()))
     assert payload["sample_count"] == 0
     assert (payload["cpu_pct"], payload["ram_pct"], payload["mem_pct"]) == (None, None, None)
 
@@ -102,7 +102,7 @@ def test_report_serialization(tmp_path):
     time.sleep(0.3)
     report = stop(handle)
 
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload == report.to_dict()
     assert set(payload) == {
         "cpu_pct",
