@@ -113,6 +113,7 @@ class ApproachResult:
     """One pipeline's outcome within a comparison.
 
     ``final_vaf`` is NaN when the held-out VAF is undefined; ``to_dict`` gives ``None``.
+    ``converged`` is ``None`` without a target, else whether ``final_vaf`` meets it.
     """
 
     approach: str
@@ -167,7 +168,7 @@ def _held_out(model: QModel, days: TrainingDays) -> tuple[tuple, float]:
 
 
 def _run_approach(
-    approach: str,
+    attribute: Attribute | None,
     records: Sequence[TweetRecord],
     series: PriceSeries,
     lexicon: Lexicon,
@@ -180,7 +181,6 @@ def _run_approach(
     deadline = t0 + cfg.seconds
     target_vaf = cfg.target_vaf
 
-    attribute = Attribute.FOLLOWERS if approach == "proposed" else None
     signals: list[DailySignal] = []
     utilized = 0
     for bucket in bucket_by_day(records, series):
@@ -191,9 +191,7 @@ def _run_approach(
         utilized += n
 
     agent = cfg.agent
-    model = QModel.zeros(agent, reward=cfg.reward, attribute=attribute)
     episodes_run = 0
-    converged: bool | None = None
     predictions: tuple[float, ...] = ()
     test_prices: tuple[float, ...] = ()
     final = float("nan")
@@ -204,12 +202,10 @@ def _run_approach(
         )
         days = training_days(train_series, train_signals, agent)
         test_days = training_days(test_series, test_signals, agent)
+        model = QModel.zeros(agent, reward=cfg.reward, attribute=attribute)
         rng = np.random.default_rng(agent.seed)
-        while True:
-            if target_vaf is not None:
-                converged = _held_out(model, test_days)[1] >= target_vaf
-                if converged:
-                    break
+        # A NaN held-out VAF never meets the target.
+        while target_vaf is None or not _held_out(model, test_days)[1] >= target_vaf:
             if clock() >= deadline or (target_vaf is None and episodes_run >= agent.episodes):
                 break
             run_episode(model, days, cfg.reward, epsilon_at(agent, episodes_run), rng)
@@ -218,14 +214,14 @@ def _run_approach(
         test_prices = test_days.prices[1:]
 
     return ApproachResult(
-        approach=approach,
+        approach="classic" if attribute is None else "proposed",
         tweets_utilized=utilized,
         wall_seconds=clock() - t0,
         # Process CPU time, so the sampler thread's share is in it.
         cpu_seconds=time.process_time() - cpu0,
         episodes_run=episodes_run,
         final_vaf=final,
-        converged=converged,
+        converged=None if target_vaf is None else final >= target_vaf,
         predictions=predictions,
         test_prices=test_prices,
         resources=profiler.stop(session),
@@ -245,6 +241,6 @@ def compare(
     With ``cfg.target_vaf`` set, ``cfg.agent.episodes`` sets the epsilon
     schedule, not an episode cap.
     """
-    classic = _run_approach("classic", records, series, lexicon, cfg, clock)
-    proposed = _run_approach("proposed", records, series, lexicon, cfg, clock)
+    classic = _run_approach(None, records, series, lexicon, cfg, clock)
+    proposed = _run_approach(Attribute.FOLLOWERS, records, series, lexicon, cfg, clock)
     return ComparisonReport(cfg.seconds, cfg.target_vaf, classic, proposed)

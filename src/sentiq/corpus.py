@@ -14,7 +14,7 @@ File formats:
   (half away from zero) on ingest. ``evaluate`` reads any finite prices, in
   any order and with gaps (:func:`load_dated_prices`).
 
-Every CSV file the CLI writes goes through :func:`write_csv`. A file that is
+Every CSV file the package writes goes through :func:`write_csv`. A file that is
 not UTF-8 text stops the load with an error naming the file.
 Day bucketing uses UTC calendar days throughout.
 """

@@ -19,14 +19,14 @@ platforms need the optional ``psutil`` package (``pip install sentiq[psutil]``).
 
 from __future__ import annotations
 
-import io
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
+from .corpus import write_csv
 from .errors import ProfilerError
 
 MEMINFO = Path("/proc/meminfo")
@@ -74,15 +74,12 @@ class ResourceReport:
             "interval": self.interval,
         }
 
-    def samples_csv(self) -> str:
-        out = io.StringIO()
-        out.write("t,cpu_pct,ram_pct,mem_pct\n")
-        for s in self.samples:
-            out.write(f"{s.t:.3f},{s.cpu_pct:.2f},{s.ram_pct:.2f},{s.mem_pct:.2f}\n")
-        return out.getvalue()
-
     def write_samples_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.samples_csv(), encoding="utf-8")
+        rows = (
+            (f"{s.t:.3f}", f"{s.cpu_pct:.2f}", f"{s.ram_pct:.2f}", f"{s.mem_pct:.2f}")
+            for s in self.samples
+        )
+        write_csv(path, ("t", "cpu_pct", "ram_pct", "mem_pct"), rows)
 
 
 def _proc_reader() -> MemoryReader:
@@ -135,64 +132,62 @@ class ProfilerHandle:
             raise ProfilerError(f"resource sampling unavailable on this platform: {exc!r}") from exc
         self.interval = interval
         self.samples: list[ResourceSample] = []
-        self.stopped = False
         self._stop_event = threading.Event()
         self._t0 = time.monotonic()
-        self._last = (self._t0, time.process_time())  # prime the CPU delta
-        self._thread = threading.Thread(target=self._run, name="sentiq-profiler", daemon=True)
+        prime = (self._t0, time.process_time())  # the first sample's CPU delta starts here
+        self._thread = threading.Thread(
+            target=self._run, args=prime, name="sentiq-profiler", daemon=True
+        )
         self._thread.start()
 
-    def _take_sample(self) -> None:
-        wall, cpu_time = time.monotonic(), time.process_time()
-        last_wall, last_cpu = self._last
-        self._last = (wall, cpu_time)
-        cpu = (cpu_time - last_cpu) / (wall - last_wall) * 100.0 if wall > last_wall else 0.0
-        try:
-            ram, mem = self._read_memory()
-        except Exception:  # pragma: no cover - process teardown race
-            return
-        self.samples.append(ResourceSample(wall - self._t0, cpu, ram, mem))
-
-    def _run(self) -> None:
+    def _run(self, last_wall: float, last_cpu: float) -> None:
         while not self._stop_event.wait(self.interval):
-            self._take_sample()
+            wall, cpu_time = time.monotonic(), time.process_time()
+            cpu = (cpu_time - last_cpu) / (wall - last_wall) * 100.0 if wall > last_wall else 0.0
+            last_wall, last_cpu = wall, cpu_time
+            try:
+                ram, mem = self._read_memory()
+            except Exception:  # pragma: no cover - process teardown race
+                continue
+            self.samples.append(ResourceSample(wall - self._t0, cpu, ram, mem))
 
-    def _finish(self) -> ResourceReport:
-        self._stop_event.set()
-        self._thread.join(timeout=self.interval + 5.0)
-        wall = time.monotonic() - self._t0
-        samples = tuple(self.samples)
 
-        def stats(values: tuple[float, ...]) -> ChannelStats:
-            if not values:
-                return ChannelStats(0.0, 0.0, 0.0)
-            lo, hi = min(values), max(values)
-            # Clamp: float summation can nudge the mean a hair outside the
-            # envelope (e.g. identical samples), and min <= avg <= max must hold.
-            avg = min(max(sum(values) / len(values), lo), hi)
-            return ChannelStats(lo, avg, hi)
-
-        return ResourceReport(
-            cpu=stats(tuple(s.cpu_pct for s in samples)),
-            ram=stats(tuple(s.ram_pct for s in samples)),
-            mem=stats(tuple(s.mem_pct for s in samples)),
-            sample_count=len(samples),
-            wall_seconds=wall,
-            interval=self.interval,
-            samples=samples,
-        )
+def _stats(values: Sequence[float]) -> ChannelStats:
+    if not values:
+        return ChannelStats(0.0, 0.0, 0.0)
+    lo, hi = min(values), max(values)
+    # Clamp: float summation can nudge the mean a hair outside the
+    # envelope (e.g. identical samples), and min <= avg <= max must hold.
+    avg = min(max(sum(values) / len(values), lo), hi)
+    return ChannelStats(lo, avg, hi)
 
 
 def start(interval: float = 1.0) -> ProfilerHandle:
     """Start a sampling session; the first sample lands within one interval."""
     if not interval > 0:
         raise ProfilerError(f"interval must be positive, got {interval}")
+    # stop joins the sampler with a timeout of interval + 5 s, and threading
+    # raises OverflowError for a timeout above TIMEOUT_MAX.
+    longest = threading.TIMEOUT_MAX - 5.0
+    if not interval <= longest:
+        raise ProfilerError(f"interval must be at most {longest:.0f} seconds, got {interval}")
     return ProfilerHandle(interval)
 
 
 def stop(handle: ProfilerHandle) -> ResourceReport:
     """Stop a session and summarize it; stopping twice is an error."""
-    if handle.stopped:
+    if handle._stop_event.is_set():
         raise ProfilerError("profiler already stopped")
-    handle.stopped = True
-    return handle._finish()
+    handle._stop_event.set()
+    handle._thread.join(timeout=handle.interval + 5.0)
+    wall = time.monotonic() - handle._t0
+    samples = tuple(handle.samples)
+    return ResourceReport(
+        cpu=_stats([s.cpu_pct for s in samples]),
+        ram=_stats([s.ram_pct for s in samples]),
+        mem=_stats([s.mem_pct for s in samples]),
+        sample_count=len(samples),
+        wall_seconds=wall,
+        interval=handle.interval,
+        samples=samples,
+    )

@@ -238,6 +238,18 @@ def test_to_target_flags_unconverged_on_timeout(corpus, lexicon):
         assert result.episodes_run > 0
 
 
+def test_to_target_flags_unconverged_when_time_runs_out_during_ingest(corpus, lexicon):
+    # Each clock call advances a second, so the 5 s run stops after four
+    # days: too few to score, and a race that did not meet its target.
+    cfg = small_bench(seconds=5.0, target_vaf=101.0)
+    report = compare(*corpus, lexicon, cfg, clock=stepping_clock(1.0))
+    for result in (report.classic, report.proposed):
+        assert result.episodes_run == 0
+        assert math.isnan(result.final_vaf)
+        assert result.converged is False
+        assert result.to_dict()["converged"] is False
+
+
 def test_to_target_discretizes_each_split_once(corpus, lexicon, monkeypatch):
     # Checking the target before every episode reuses the held-out days built
     # once per approach; only the training head and the held-out tail are

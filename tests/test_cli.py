@@ -726,6 +726,27 @@ def test_compare_report_writes_null_for_an_undefined_vaf(tmp_path):
         assert payload[side]["episodes_run"] == 0
 
 
+def test_compare_flags_a_side_that_runs_out_of_time_unconverged(tmp_path):
+    code, _, err = run_cli(
+        ["synth", "--days", 30, "--tweets-per-day", 8, "--seed", 2,
+         "--out-tweets", "t.csv", "--out-prices", "p.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    (tmp_path / "c.cfg").write_text("action_min = -8\naction_max = 8\n", encoding="utf-8")
+    # Time runs out before five days are scored, so neither side meets the target.
+    code, stdout, err = run_cli(
+        ["compare", "--config", "c.cfg", "--tweets", "t.csv", "--prices", "p.csv",
+         "--target-vaf", 95, "--seconds", "0.000001", "--out", "c.json"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    assert stdout.count("vaf=nan converged=False") == 2
+    payload = json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))
+    for side in ("classic", "proposed"):
+        assert payload[side]["converged"] is False
+
+
 def test_negative_numbers_with_an_exponent_are_values(tmp_path):
     # argparse's own pattern for a negative number has no exponent, so it
     # would read "-1e9" as an unknown option and exit 2.

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import threading
 import time
 
 import pytest
@@ -15,6 +16,16 @@ def test_rejects_non_positive_interval():
         start(0.0)
     with pytest.raises(ProfilerError, match="interval must be positive"):
         start(-1.0)
+
+
+def test_rejects_an_interval_too_long_for_threading_timeouts():
+    # stop joins the sampler with a timeout of interval + 5 s; threading
+    # raises OverflowError for any timeout above TIMEOUT_MAX.
+    for interval in (float("inf"), 1e300, threading.TIMEOUT_MAX, threading.TIMEOUT_MAX - 4.0):
+        with pytest.raises(ProfilerError, match="interval must be at most"):
+            start(interval)
+    report = stop(start(threading.TIMEOUT_MAX - 5.0))
+    assert report.sample_count == 0
 
 
 def test_double_stop_is_an_error():
@@ -114,8 +125,12 @@ def test_report_serialization(tmp_path):
     }
     assert set(payload["cpu_pct"]) == {"min", "avg", "max"}
 
-    csv_text = report.samples_csv()
-    lines = csv_text.strip().split("\n")
+    out = tmp_path / "samples.csv"
+    report.write_samples_csv(out)
+    csv_bytes = out.read_bytes()
+    assert csv_bytes.endswith(b"\r\n")
+    lines = csv_bytes.decode("utf-8").split("\r\n")[:-1]
+    assert "\n" not in "".join(lines)
     assert lines[0] == "t,cpu_pct,ram_pct,mem_pct"
     assert len(lines) == report.sample_count + 1
     for line in lines[1:]:
@@ -123,12 +138,8 @@ def test_report_serialization(tmp_path):
         assert len(fields) == 4
         float(fields[0])
 
-    out = tmp_path / "samples.csv"
-    report.write_samples_csv(out)
-    assert out.read_text(encoding="utf-8") == csv_text
 
-
-def test_report_is_a_plain_value_object():
+def test_report_is_a_plain_value_object(tmp_path):
     sample = ResourceSample(0.1, 50.0, 20.0, 1.0)
     report = ResourceReport(
         cpu=ChannelStats(50.0, 50.0, 50.0),
@@ -140,7 +151,9 @@ def test_report_is_a_plain_value_object():
         samples=(sample,),
     )
     assert report.to_dict()["sample_count"] == 1
-    assert "0.100,50.00,20.00,1.00" in report.samples_csv()
+    out = tmp_path / "samples.csv"
+    report.write_samples_csv(out)
+    assert out.read_bytes() == b"t,cpu_pct,ram_pct,mem_pct\r\n0.100,50.00,20.00,1.00\r\n"
 
 
 def test_proc_counters_give_ram_in_use_and_rss_over_mem_total(tmp_path, monkeypatch):
