@@ -76,8 +76,8 @@ class BenchConfig:
             raise BenchError(f"unknown reward kind {self.reward!r}")
         if not 0.0 < self.train_frac < 1.0:
             raise BenchError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if not self.seconds > 0:
-            raise BenchError(f"seconds must be positive, got {self.seconds}")
+        if not (self.seconds > 0 and math.isfinite(self.seconds)):
+            raise BenchError(f"seconds must be positive and finite, got {self.seconds}")
         if self.target_vaf is not None and not math.isfinite(self.target_vaf):
             raise BenchError(f"target_vaf must be finite, got {self.target_vaf}")
 
@@ -114,6 +114,9 @@ class ApproachResult:
 
     ``final_vaf`` is NaN when the held-out VAF is undefined; ``to_dict`` gives ``None``.
     ``converged`` is ``None`` without a target, else whether ``final_vaf`` meets it.
+    ``wall_seconds`` and ``cpu_seconds`` start when :func:`compare` starts this
+    approach, after the caller has read the tweet and price files (``sentiq
+    compare`` reads them once, before either approach), so neither includes reading them.
     """
 
     approach: str

@@ -12,11 +12,14 @@ keep each day's top half by the attribute, and only then clean, dedup and
 score the kept tweets, as ``compare`` does; ``split`` cleans and dedups
 first and ranks the cleaned rows it writes.
 
-Every value can come from three layers with rising precedence: built-in
-defaults, a ``--config`` file of flat ``key = value`` lines, then explicit
-flags, typed and checked by :data:`SETTINGS`. A config line with an unknown
-or repeated key or a bad value stops the run with the file and line. All outputs go to
-explicit ``--out`` style paths; nothing is written implicitly.
+Every setting is looked up in three layers, once per run: explicit flags,
+then a ``--config`` file of flat ``key = value`` lines, then the defaults
+(:data:`DEFAULTS` for the CLI-only keys, the config classes' own for the
+rest). :data:`SETTINGS` types and checks each key; its numeric keys are the
+``int`` and ``float`` fields of ``AgentConfig``, ``SynthConfig`` and
+``BenchConfig``, each typed by its default. A config line with an unknown or
+repeated key or a bad value stops the run with the file and line. All outputs
+go to explicit ``--out`` style paths; nothing is written implicitly.
 
 Exit codes: 0 success, 1 failure (one-line message on stderr), 2 usage.
 """
@@ -46,18 +49,21 @@ logger = logging.getLogger(__name__)
 
 # Every setting a config file or a flag can give: its type, or the strings it takes.
 SETTINGS: dict[str, type | tuple[str, ...]] = {
-    **dict.fromkeys(("action_min", "action_max", "episodes", "sentiment_bins", "seed"), int),
-    **dict.fromkeys(("gamma", "theta", "epsilon_start", "epsilon_end"), float),
-    **dict.fromkeys(("price_bucket_width", "price_max"), float),
-    **dict.fromkeys(("days", "tweets_per_day"), int),
-    **dict.fromkeys(("rho", "base_price", "daily_vol"), float),
-    **dict.fromkeys(("train_frac", "seconds", "target_vaf"), float),
+    **{
+        f.name: type(f.default)
+        for cls in (qlearn.AgentConfig, synth.SynthConfig, bench.BenchConfig)
+        for f in dataclasses.fields(cls)
+        if type(f.default) in (int, float)
+    },
+    "target_vaf": float,  # BenchConfig's default is None
     "reward": qlearn.REWARD_KINDS,
     "attribute": (*(a.value for a in Attribute), "none"),
-    "format": ("csv", "jsonl"),
+    "format": corpus.TWEET_FORMATS,
     "prices": str,
     "lexicon": str,
 }
+# The defaults of the settings that no config class holds.
+DEFAULTS = {"format": "csv", "attribute": "none", "reward": qlearn.CDR}
 
 
 def load_run_config(path: str | Path) -> dict[str, int | float | str]:
@@ -98,32 +104,23 @@ def load_run_config(path: str | Path) -> dict[str, int | float | str]:
 
 
 def _options(args: argparse.Namespace) -> ChainMap:
-    """Settings by precedence: the flags that were given, then the config file."""
+    """Settings by precedence: the flags that were given, the config file, then ``DEFAULTS``."""
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    return ChainMap(flags, load_run_config(flags["config"]) if "config" in flags else {})
+    return ChainMap(flags, load_run_config(flags["config"]) if "config" in flags else {}, DEFAULTS)
 
 
-def _given(opts: ChainMap, cls) -> dict:
-    """``cls``'s fields that were set, as keyword arguments; the rest keep their defaults."""
-    return {f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts}
-
-
-def _agent_config(opts: ChainMap) -> qlearn.AgentConfig:
-    return qlearn.AgentConfig(**_given(opts, qlearn.AgentConfig))
-
-
-def _format(opts: ChainMap) -> str:
-    return opts.get("format", "csv")
+def _config(cls, opts: ChainMap, **fields):
+    """A ``cls`` from the settings that were set and ``fields``; the rest keep their defaults."""
+    given = {f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts}
+    return cls(**given, **fields)
 
 
 def _attribute(opts: ChainMap) -> Attribute | None:
-    name = opts.get("attribute", "none")
-    return None if name == "none" else Attribute(name)
+    return None if opts["attribute"] == "none" else Attribute(opts["attribute"])
 
 
 def _lexicon(opts: ChainMap) -> Lexicon:
-    path = opts.get("lexicon")
-    return load_lexicon(path) if path else builtin_lexicon()
+    return load_lexicon(opts["lexicon"]) if opts.get("lexicon") else builtin_lexicon()
 
 
 def _load_buckets(opts: ChainMap):
@@ -135,8 +132,8 @@ def _load_buckets(opts: ChainMap):
     prices = opts.get("prices")
     series = corpus.load_prices(prices) if prices else None
     loaded = corpus.load_tweets(
-        opts.get("tweets"),
-        format=_format(opts),
+        opts["tweets"],
+        format=opts["format"],
         window=None if series is None else series.window(),
     )
     if series is not None:
@@ -175,36 +172,33 @@ def _write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    opts = _options(args)
-    tweets, series = synth.gen_corpus(synth.SynthConfig(**_given(opts, synth.SynthConfig)))
-    n = corpus.write_tweets(tweets, args.out_tweets, format=_format(opts))
+def cmd_synth(args: argparse.Namespace, opts: ChainMap) -> int:
+    tweets, series = synth.gen_corpus(_config(synth.SynthConfig, opts))
+    n = corpus.write_tweets(tweets, args.out_tweets, format=opts["format"])
     m = corpus.write_prices(series, args.out_prices)
     print(f"wrote {n} tweets to {args.out_tweets} and {m} prices to {args.out_prices}")
     return 0
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    opts = _options(args)
+def cmd_preprocess(args: argparse.Namespace, opts: ChainMap) -> int:
     _, buckets = _load_buckets(opts)
     rows = [r for b in _cleaned_rows(buckets) for r in b.tweets]
-    n = corpus.write_tweets(rows, args.out, format=_format(opts))
+    n = corpus.write_tweets(rows, args.out, format=opts["format"])
     print(f"wrote {n} cleaned tweets to {args.out}")
     return 0
 
 
-def cmd_split(args: argparse.Namespace) -> int:
-    opts = _options(args)
+def cmd_split(args: argparse.Namespace, opts: ChainMap) -> int:
     attribute = _attribute(opts)
     # Unlike the signal path, split ranks the cleaned rows it writes: each day
     # keeps ceil(n/2) of the tweets that survive cleaning and dedup.
     _, buckets = _load_buckets(opts)
     dataset = build_dataset(_cleaned_rows(buckets), attribute)
     rows = [r for b in dataset.buckets for r in b.tweets]
-    n = corpus.write_tweets(rows, args.out, format=_format(opts))
+    n = corpus.write_tweets(rows, args.out, format=opts["format"])
     meta = {
-        "attribute": attribute.value if attribute else "none",
-        "source": str(opts.get("tweets")),
+        "attribute": opts["attribute"],
+        "source": str(opts["tweets"]),
         "days": len(dataset.buckets),
         "tweets": dataset.total_tweets,
     }
@@ -214,8 +208,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sentiment(args: argparse.Namespace) -> int:
-    opts = _options(args)
+def cmd_sentiment(args: argparse.Namespace, opts: ChainMap) -> int:
     series, signals = _signal_pipeline(opts, _attribute(opts))
     rows = ((s.date.isoformat(), f"{s.mean_compound:.6f}", s.tweet_count) for s in signals)
     corpus.write_csv(args.out, ("date", "mean_compound", "tweet_count"), rows)
@@ -223,11 +216,10 @@ def cmd_sentiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    opts = _options(args)
+def cmd_train(args: argparse.Namespace, opts: ChainMap) -> int:
     attribute = _attribute(opts)
-    cfg = _agent_config(opts)
-    reward = opts.get("reward", qlearn.CDR)
+    cfg = _config(qlearn.AgentConfig, opts)
+    reward = opts["reward"]
     series, signals = _signal_pipeline(opts, attribute)
     model, log = qlearn.train(series, signals, reward, cfg, attribute=attribute)
     qlearn.save_model(model, args.out)
@@ -241,8 +233,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    opts = _options(args)
+def cmd_predict(args: argparse.Namespace, opts: ChainMap) -> int:
     model = qlearn.load_model(args.model)
     series, signals = _signal_pipeline(opts, model.attribute)
     predictions = qlearn.predict_series(model, series, signals)
@@ -251,7 +242,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, opts: ChainMap) -> int:
     actual = corpus.load_dated_prices(args.actual)
     predicted = corpus.load_dated_prices(args.predicted)
     shared = sorted(set(actual) & set(predicted))
@@ -267,11 +258,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    opts = _options(args)
-    cfg = bench.BenchConfig(agent=_agent_config(opts), **_given(opts, bench.BenchConfig))
-    series = corpus.load_prices(opts.get("prices"))
-    loaded = corpus.load_tweets(opts.get("tweets"), format=_format(opts), window=series.window())
+def cmd_compare(args: argparse.Namespace, opts: ChainMap) -> int:
+    cfg = _config(bench.BenchConfig, opts, agent=_config(qlearn.AgentConfig, opts))
+    series = corpus.load_prices(opts["prices"])
+    loaded = corpus.load_tweets(opts["tweets"], format=opts["format"], window=series.window())
     report = bench.compare(loaded.records, series, _lexicon(opts), cfg)
     for result in (report.classic, report.proposed):
         flag = "" if result.converged is None else f" converged={result.converged}"
@@ -378,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", required=True)
     _settings(p, "lexicon")
-    _settings(p, "seconds", help="wall-clock limit per approach (default 600)")
+    default = bench.BenchConfig.seconds
+    _settings(p, "seconds", help=f"wall-clock limit per approach (default {default:g})")
     _settings(p, "target_vaf", help="stop an approach once its held-out VAF reaches this")
     _settings(p, "reward", "train_frac", "format")
     p.add_argument("--out", help="write the full comparison report JSON here")
@@ -391,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        return args.func(args, _options(args))
     except (SentiqError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, getcontext
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from operator import itemgetter
@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 
 TWEET_FIELDS = ("id", "timestamp", "text", "followers", "comments", "likes", "retweets")
 PRICE_FIELDS = ("date", "price")
+TWEET_FORMATS = ("csv", "jsonl")
+_FORMAT_CHOICES = " or ".join(map(repr, TWEET_FORMATS))
 _COUNT_FIELDS = ("followers", "comments", "likes", "retweets")
 _INT_FIELDS = ("timestamp", *_COUNT_FIELDS)
 _INT_INDEXES = tuple(TWEET_FIELDS.index(name) for name in _INT_FIELDS)
@@ -58,12 +60,21 @@ _scan_json = make_scanner(json.JSONDecoder())
 
 
 def round_price(value: float | int | str | Decimal) -> float:
-    """Round to two fraction digits, ties away from zero (99.999 -> 100.0)."""
+    """Round to two fraction digits, ties away from zero (99.999 -> 100.0).
+
+    The decimal context holds 28 digits, so 10**26 and up have no room for cents.
+    """
     try:
-        quantized = Decimal(str(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
-    except InvalidOperation as exc:
-        raise CorpusError(f"not a decimal number: {value!r}") from exc
-    return float(quantized)
+        number = Decimal(str(value))
+    except InvalidOperation:
+        raise CorpusError(f"not a number: {value!r}") from None
+    try:
+        return float(number.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    except InvalidOperation:  # infinite, or more digits than the context holds
+        reason = "not a number"
+        if number.is_finite():
+            reason = f"too large to round to cents in {getcontext().prec} digits"
+        raise CorpusError(f"{reason}: {value!r}") from None
 
 
 def _day_start(day: dt.date) -> int:
@@ -316,7 +327,7 @@ def load_tweets(
     elif format == "jsonl":
         rows = _iter_jsonl_rows(path)
     else:
-        raise CorpusError(f"unknown tweet format {format!r}, expected 'csv' or 'jsonl'")
+        raise CorpusError(f"unknown tweet format {format!r}, expected {_FORMAT_CHOICES}")
 
     if window is None:
         lo, hi = _MIN_TIMESTAMP, _MAX_TIMESTAMP + 1
@@ -385,7 +396,7 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
                 for i, ts, text, followers, comments, likes, retweets in records
             )
     else:
-        raise CorpusError(f"unknown tweet format {format!r}, expected 'csv' or 'jsonl'")
+        raise CorpusError(f"unknown tweet format {format!r}, expected {_FORMAT_CHOICES}")
     return len(records)
 
 
@@ -401,8 +412,8 @@ def load_prices(path: str | Path) -> PriceSeries:
         date = _iso_date(path, line, day)
         try:
             value = round_price(price)
-        except CorpusError:
-            raise CorpusError(f"{path}:{line}: field 'price': not a number: {price!r}") from None
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{line}: field 'price': {exc}") from None
         if not value > 0:
             raise CorpusError(f"{path}:{line}: {_nonpositive_price(date, value)}")
         if start is None:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config classes' integer check."""
 
 from __future__ import annotations
+
+import dataclasses
 
 
 class SentiqError(Exception):
@@ -29,3 +31,11 @@ class ProfilerError(SentiqError):
 
 class ConfigError(SentiqError):
     """Bad run configuration (file or flag values)."""
+
+
+def check_int_fields(config, error: type[SentiqError]) -> None:
+    """Raise ``error`` naming the first ``int``-default field that holds a non-int or a bool."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if type(field.default) is int and (not isinstance(value, int) or isinstance(value, bool)):
+            raise error(f"{field.name} must be an integer, got {value!r}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .attributes import Attribute
 from .corpus import PriceSeries, round_price
-from .errors import AlignmentError, ModelFormatError, SentiqError
+from .errors import AlignmentError, ModelFormatError, SentiqError, check_int_fields
 from .sentiment import DailySignal
 
 _MAGIC = b"SQMODEL\x01"
@@ -77,12 +77,11 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_int_fields(self, QLearnError)
         if not 0.0 <= self.gamma <= 1.0:
             raise QLearnError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.theta <= 1.0:
             raise QLearnError(f"theta must be in (0, 1], got {self.theta}")
-        if int(self.action_min) != self.action_min or int(self.action_max) != self.action_max:
-            raise QLearnError("action bounds must be integers")
         if self.action_min >= self.action_max:
             raise QLearnError(
                 f"action_min {self.action_min} must be below action_max {self.action_max}"

@@ -67,9 +67,9 @@ def _parse_lexicon(lines, where: str) -> Lexicon:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load a tab-separated lexicon file; tokens are lowercased on load."""
+    """Load a tab-separated lexicon file; tokens are lowercased, a leading BOM is dropped."""
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         try:
             return _parse_lexicon(handle, str(path))
         except UnicodeDecodeError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import _DAY_S, PriceSeries, TweetRecord, _day_start, round_price
-from .errors import SentiqError
+from .errors import SentiqError, check_int_fields
 from .sentiment import builtin_lexicon
 
 _START = dt.date(2021, 1, 1)  # the first price day
@@ -65,6 +65,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_int_fields(self, SynthError)
         if self.days < 2:
             raise SynthError(f"days must be >= 2, got {self.days}")
         if self.tweets_per_day < 1:

@@ -110,6 +110,13 @@ def test_fixed_time_requires_positive_budget():
             small_bench(seconds=seconds)
 
 
+def test_fixed_time_requires_a_finite_budget():
+    # A report holds seconds, and JSON has no Infinity.
+    for seconds in (math.inf, float("1e400")):
+        with pytest.raises(BenchError, match=r"^seconds must be positive and finite, got inf$"):
+            small_bench(seconds=seconds)
+
+
 def test_fixed_time_full_run_shape(corpus, lexicon):
     tweets, series = corpus
     cfg = small_bench()

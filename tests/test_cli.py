@@ -193,6 +193,20 @@ def test_config_value_outside_its_choices_exits_1_naming_the_line(
     assert err == f"error: {cfg}:1: config key '{key}': expected one of {choices}, got 'bogus'\n"
 
 
+def test_settings_lists_every_key_with_its_type_or_choices():
+    assert SETTINGS == {
+        "gamma": float, "theta": float, "action_min": int, "action_max": int,
+        "epsilon_start": float, "epsilon_end": float, "episodes": int,
+        "price_bucket_width": float, "price_max": float, "sentiment_bins": int, "seed": int,
+        "days": int, "tweets_per_day": int, "rho": float, "base_price": float,
+        "daily_vol": float, "train_frac": float, "seconds": float, "target_vaf": float,
+        "reward": ("sdr", "rdr", "cdr"),
+        "attribute": ("followers", "comments", "likes", "retweets", "none"),
+        "format": ("csv", "jsonl"),
+        "prices": str, "lexicon": str,
+    }
+
+
 def test_every_settings_flag_is_typed_from_settings():
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -771,6 +785,22 @@ def test_compare_rejects_bad_seconds_and_target_exits_1(cli_corpus):
         )
         assert code == 1
         assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1, err
+
+
+def test_compare_rejects_infinite_seconds_and_writes_no_report(
+    cli_corpus, agent_cfg_file, tmp_path
+):
+    root, tweets, prices = cli_corpus
+    out = tmp_path / "c.json"
+    for seconds in ("inf", "1e400"):
+        code, _, err = run_cli(
+            ["compare", "--config", agent_cfg_file, "--tweets", tweets, "--prices", prices,
+             "--seconds", seconds, "--out", out],
+            cwd=root,
+        )
+        assert code == 1
+        assert err == "error: seconds must be positive and finite, got inf\n", err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,23 @@ def test_round_price_rejects_garbage():
         round_price("abc")
 
 
+def test_a_price_too_large_for_cents_names_the_limit(tmp_path):
+    assert round_price("9.99e25") == 9.99e25  # 26 digits and 2 fraction digits fit
+    for value in ("1e26", 1e308):
+        with pytest.raises(CorpusError, match=r"^too large to round to cents in 28 digits: "):
+            round_price(value)
+    path = tmp_path / "p.csv"
+    path.write_text("date,price\n2021-03-01,1e26\n", encoding="utf-8")
+    with pytest.raises(
+        CorpusError, match=r":2: field 'price': too large to round to cents in 28 digits: '1e26'$"
+    ):
+        load_prices(path)
+    for value in ("inf", "lots"):
+        path.write_text(f"date,price\n2021-03-01,{value}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf":2: field 'price': not a number: '{value}'$"):
+            load_prices(path)
+
+
 # ---------------------------------------------------------------------------
 # record validation
 

@@ -94,11 +94,24 @@ def test_default_config_is_valid():
         {"price_max": math.inf},
         {"price_max": math.nan},
         {"price_bucket_width": 1e-200},
+        {"episodes": 2.5},
+        {"seed": 1.5},
+        {"sentiment_bins": 3.0},
+        {"action_min": -8.0},
+        {"episodes": True},
+        {"action_max": "8"},
     ],
 )
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(QLearnError):
         AgentConfig(**overrides)
+
+
+def test_config_names_an_integer_field_given_a_non_integer():
+    with pytest.raises(QLearnError, match=r"^action_min must be an integer, got -8\.0$"):
+        AgentConfig(action_min=-8.0)
+    with pytest.raises(QLearnError, match=r"^episodes must be an integer, got True$"):
+        AgentConfig(episodes=True)
 
 
 def test_price_bin_count_rounds_up():
@@ -852,4 +865,14 @@ def test_load_rejects_a_bad_state_mode_or_agent_block(tmp_path, agent):
     path = tmp_path / "m.bin"
     write_v1_model(path, agent, np.zeros((2, 1, 5)))
     with pytest.raises(ModelFormatError, match=r"m\.bin: bad config block: "):
+        load_model(path)
+
+
+def test_load_rejects_a_float_in_an_integer_field(tmp_path):
+    # The table has the shape the config gives, so only the type check stops it.
+    path = tmp_path / "m.bin"
+    agent = {**V1_FIELDS, "action_min": -8.0, "action_max": 8, "state_mode": "price+sentiment"}
+    write_v1_model(path, agent, np.zeros((2, 21, 17)))
+    message = r"m\.bin: bad config block: action_min must be an integer, got -8\.0"
+    with pytest.raises(ModelFormatError, match=message):
         load_model(path)

@@ -80,6 +80,13 @@ def test_load_lexicon_skips_blanks_ignores_extra_columns(tmp_path):
     assert lex.get("good") == 1.5
 
 
+def test_load_lexicon_drops_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(b"good\t1.0\nbad\t-1.0\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert dict(load_lexicon(marked)) == dict(load_lexicon(plain)) == {"good": 1.0, "bad": -1.0}
+
+
 def test_builtin_lexicon_well_formed():
     lex = builtin_lexicon()
     assert len(lex) >= 20

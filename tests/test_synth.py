@@ -28,6 +28,9 @@ def small_corpus():
         {"daily_vol": 0.0},
         {"daily_vol": -0.5},
         {"seed": -3},
+        {"days": 20.5},
+        {"tweets_per_day": 4.0},
+        {"seed": True},
     ],
 )
 def test_config_rejects_bad_values(overrides):
