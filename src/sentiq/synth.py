@@ -5,7 +5,8 @@ a small symmetric set of percent moves (a centered binomial count times a
 fixed step, scaled so the daily return standard deviation equals
 ``daily_vol``). Quantized moves give each day a well-defined best integer
 percent prediction, so a correctly-trained predictor can land exactly on the
-next price rather than chasing an irreducibly continuous target.
+next price rather than chasing an irreducibly continuous target. ``daily_vol``
+stays below 0.5, so the largest fall, ``2 * daily_vol``, leaves a positive price.
 
 Each day also carries a latent sentiment factor built from the standardized
 *next-day* move, correlating with tomorrow's return at strength ``rho``. The
@@ -28,10 +29,11 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .corpus import _DAY_S, PriceSeries, TweetRecord, _day_start, round_price
+from .corpus import _DAY_S, CorpusError, PriceSeries, TweetRecord, _day_start, round_price
 from .errors import SentiqError, check_int_fields
 from .sentiment import builtin_lexicon
 
@@ -74,8 +76,13 @@ class SynthConfig:
             raise SynthError(f"rho must be in [0, 1], got {self.rho}")
         if not (self.base_price > 0 and math.isfinite(self.base_price)):
             raise SynthError(f"base_price must be positive, got {self.base_price}")
-        if not (self.daily_vol > 0 and math.isfinite(self.daily_vol)):
-            raise SynthError(f"daily_vol must be positive, got {self.daily_vol}")
+        try:
+            round_price(self.base_price)
+        except CorpusError as exc:
+            raise SynthError(f"base_price: {exc}") from None
+        # A z = -2 day moves the price by -2 * daily_vol: -100 % or worse from 0.5 up.
+        if not 0 < self.daily_vol < 0.5:
+            raise SynthError(f"daily_vol must be > 0 and < 0.5, got {self.daily_vol}")
         if not 0 <= self.seed < 2**64:
             raise SynthError("seed must be an unsigned 64-bit integer")
 
@@ -103,7 +110,13 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
     step_pct = 200.0 * cfg.daily_vol / math.sqrt(_RETURN_TRIALS)
     prices = [max(round_price(cfg.base_price), 0.01)]
     for d in range(1, days):
-        prices.append(max(round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
+        try:
+            prices.append(max(round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
+        except CorpusError:
+            raise SynthError(
+                f"the price on day {d} outgrows cents (base_price {cfg.base_price}, "
+                f"daily_vol {cfg.daily_vol}); lower either or generate fewer days"
+            ) from None
     series = PriceSeries(_START, tuple(prices))
 
     # Latent daily factor: correlated with the standardized next-day move.
@@ -114,7 +127,6 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
 
     mild_valences, mild_tokens, strong_pos, strong_neg = _token_tables()
     tweets: list[TweetRecord] = []
-    counter = 0
     for d in range(days):
         day_start = _day_start(_START) + d * _DAY_S
         offsets = rng.integers(0, 86_400, size=per_day)
@@ -136,21 +148,38 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
         retweets = rng.lognormal(3.0, 1.5, size=per_day).astype(np.int64)
         word_counts = rng.integers(2, 5, size=per_day)
 
+        # The day's per-tweet draws come from one call. Tweet by tweet, the
+        # bounds are a noise tweet's token picks, the filler words, then one
+        # insert position per sentiment token into the growing word list. An
+        # array of bounds is drawn element by element, so the stream is the
+        # one a scalar call per bound would give (tests/test_synth.py pins it).
+        pools = [strong_pos if sign else strong_neg for sign in noise_signs.tolist()]
+        n_tokens = [1] * top + noise_token_counts.tolist()
+        n_words = word_counts.tolist()
+        bounds: list[int] = []
         for i in range(per_day):
+            if i >= top:
+                bounds += [len(pools[i - top])] * n_tokens[i]
+            bounds += [len(_FILLER_VOCAB)] * n_words[i]
+            bounds += range(n_words[i] + 1, n_words[i] + 1 + n_tokens[i])
+        draws = iter(rng.integers(0, bounds).tolist())
+
+        signal_tokens = signal_token_idx.tolist()
+        rows = zip(
+            offsets.tolist(), followers.tolist(), comments.tolist(), likes.tolist(),
+            retweets.tolist(),
+        )
+        for i, (offset, *counts) in enumerate(rows):
             if i < top:
-                sentiment_tokens = [mild_tokens[int(signal_token_idx[i])]]
+                sentiment_tokens = [mild_tokens[signal_tokens[i]]]
             else:
-                pool = strong_pos if noise_signs[i - top] else strong_neg
-                picks = rng.integers(0, len(pool), size=int(noise_token_counts[i - top]))
-                sentiment_tokens = [pool[int(p)] for p in picks]
-            k = int(word_counts[i])
-            words = [_FILLER_VOCAB[int(w)] for w in rng.integers(0, len(_FILLER_VOCAB), size=k)]
+                pool = pools[i - top]
+                sentiment_tokens = [pool[p] for p in islice(draws, n_tokens[i])]
+            words = [_FILLER_VOCAB[w] for w in islice(draws, n_words[i])]
             for token in sentiment_tokens:
-                words.insert(int(rng.integers(0, len(words) + 1)), token)
+                words.insert(next(draws), token)
             # Non-empty id and text, Python ints, non-negative counts: all valid.
             tweets.append(TweetRecord._make((
-                f"{counter:08d}", day_start + int(offsets[i]), " ".join(words),
-                int(followers[i]), int(comments[i]), int(likes[i]), int(retweets[i]),
+                f"{len(tweets):08d}", day_start + offset, " ".join(words), *counts,
             )))
-            counter += 1
     return tuple(tweets), series

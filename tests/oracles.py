@@ -2,7 +2,10 @@
 
 Everything here is written straight from the defining formulas in plain
 Python (no numpy), deliberately sharing no code with ``sentiq`` so that
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence. The one exception is
+``o_gen_corpus``: a seeded corpus is defined by its draw order, not by a
+formula, so its oracle is ``sentiq.synth.gen_corpus`` as it was when it made
+one numpy call per tweet, with the module's constants and helpers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,19 @@ import itertools
 import json
 import math
 import re
+
+import numpy as np
+
+from sentiq.corpus import _DAY_S, PriceSeries, TweetRecord, _day_start, round_price
+from sentiq.synth import (
+    _FILLER_VOCAB,
+    _RETURN_TRIALS,
+    _SIGNAL_SLOPE,
+    _SIGNAL_VALENCE_NOISE,
+    _START,
+    SynthConfig,
+    _token_tables,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +189,73 @@ def o_jsonl_rows(path):
                 if key not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field '{key}'")
             yield lineno, tuple(obj[key] for key in O_TWEET_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic corpora, one ``rng.integers`` call per noise tweet's picks, per
+# tweet's filler words and per inserted sentiment token.
+
+def o_gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
+    """The generator as written before its per-tweet draws were batched per day."""
+    rng = np.random.default_rng(cfg.seed)
+    days, per_day = cfg.days, cfg.tweets_per_day
+    top = (per_day + 1) // 2
+
+    # Centered binomial counts z in {-2,...,2} with unit variance; each day's
+    # percent move is z * step where step is sized so sd(move) = daily_vol.
+    half = _RETURN_TRIALS // 2
+    z = rng.binomial(_RETURN_TRIALS, 0.5, size=days - 1) - half
+    step_pct = 200.0 * cfg.daily_vol / math.sqrt(_RETURN_TRIALS)
+    prices = [max(round_price(cfg.base_price), 0.01)]
+    for d in range(1, days):
+        prices.append(max(round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
+    series = PriceSeries(_START, tuple(prices))
+
+    # Latent daily factor: correlated with the standardized next-day move.
+    eta = rng.normal(0.0, 1.0, days)
+    factor = np.empty(days)
+    factor[: days - 1] = cfg.rho * z + math.sqrt(1.0 - cfg.rho**2) * eta[: days - 1]
+    factor[days - 1] = eta[days - 1]
+
+    mild_valences, mild_tokens, strong_pos, strong_neg = _token_tables()
+    tweets: list[TweetRecord] = []
+    counter = 0
+    for d in range(days):
+        day_start = _day_start(_START) + d * _DAY_S
+        offsets = rng.integers(0, 86_400, size=per_day)
+
+        target = _SIGNAL_SLOPE * factor[d] + rng.normal(
+            0.0, _SIGNAL_VALENCE_NOISE, size=top
+        )
+        signal_token_idx = np.abs(mild_valences[None, :] - target[:, None]).argmin(axis=1)
+        noise_signs = rng.integers(0, 2, size=per_day - top)
+        noise_token_counts = rng.integers(1, 4, size=per_day - top)
+
+        followers = np.empty(per_day, dtype=np.int64)
+        followers[:top] = 1_000 + rng.lognormal(7.0, 1.2, size=top).astype(np.int64)
+        followers[top:] = np.minimum(
+            rng.lognormal(5.0, 1.2, size=per_day - top).astype(np.int64), 999
+        )
+        comments = rng.lognormal(3.0, 1.5, size=per_day).astype(np.int64)
+        likes = rng.lognormal(3.0, 1.5, size=per_day).astype(np.int64)
+        retweets = rng.lognormal(3.0, 1.5, size=per_day).astype(np.int64)
+        word_counts = rng.integers(2, 5, size=per_day)
+
+        for i in range(per_day):
+            if i < top:
+                sentiment_tokens = [mild_tokens[int(signal_token_idx[i])]]
+            else:
+                pool = strong_pos if noise_signs[i - top] else strong_neg
+                picks = rng.integers(0, len(pool), size=int(noise_token_counts[i - top]))
+                sentiment_tokens = [pool[int(p)] for p in picks]
+            k = int(word_counts[i])
+            words = [_FILLER_VOCAB[int(w)] for w in rng.integers(0, len(_FILLER_VOCAB), size=k)]
+            for token in sentiment_tokens:
+                words.insert(int(rng.integers(0, len(words) + 1)), token)
+            # Non-empty id and text, Python ints, non-negative counts: all valid.
+            tweets.append(TweetRecord._make((
+                f"{counter:08d}", day_start + int(offsets[i]), " ".join(words),
+                int(followers[i]), int(comments[i]), int(likes[i]), int(retweets[i]),
+            )))
+            counter += 1
+    return tuple(tweets), series

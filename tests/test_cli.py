@@ -95,6 +95,24 @@ def test_domain_errors_exit_1(tmp_path):
     assert err.startswith("error: ")
 
 
+def test_synth_price_errors_name_the_setting_and_write_nothing(tmp_path):
+    cases = [
+        (["--base-price", "1e308"],
+         "error: base_price: too large to round to cents in 28 digits: 1e+308\n"),
+        (["--daily-vol", "0.6"], "error: daily_vol must be > 0 and < 0.5, got 0.6\n"),
+        (["--daily-vol", "1e300"], "error: daily_vol must be > 0 and < 0.5, got 1e+300\n"),
+    ]
+    for flags, expected in cases:
+        code, _, err = run_cli(
+            ["synth", "--days", 10, "--tweets-per-day", 2, *flags,
+             "--out-tweets", "t.csv", "--out-prices", "p.csv"],
+            cwd=tmp_path,
+        )
+        assert code == 1
+        assert err == expected, err
+    assert not any(tmp_path.iterdir())
+
+
 def test_out_of_range_timestamp_exits_1_with_one_line(tmp_path):
     tweets = tmp_path / "tweets.csv"
     tweets.write_text(

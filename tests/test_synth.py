@@ -1,8 +1,12 @@
 import datetime as dt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import signal_return_correlation
+from oracles import o_gen_corpus
 from sentiq.attributes import Attribute
 from sentiq.corpus import TweetRecord, round_price
 from sentiq.preprocess import clean
@@ -31,6 +35,11 @@ def small_corpus():
         {"days": 20.5},
         {"tweets_per_day": 4.0},
         {"seed": True},
+        {"base_price": 1e26},
+        {"base_price": 1e308},
+        {"daily_vol": 0.5},
+        {"daily_vol": 0.6},
+        {"daily_vol": 1e300},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -38,6 +47,46 @@ def test_config_rejects_bad_values(overrides):
     kwargs.update(overrides)
     with pytest.raises(SynthError):
         SynthConfig(**kwargs)
+
+
+def test_a_walk_that_outgrows_cents_names_the_day_and_settings():
+    # Seed 4's first move is +80 %: 9e25 -> 1.62e26, which has no room for cents.
+    cfg = SynthConfig(days=10, tweets_per_day=2, base_price=9e25, daily_vol=0.4, seed=4)
+    with pytest.raises(SynthError) as info:
+        gen_corpus(cfg)
+    assert str(info.value) == (
+        "the price on day 1 outgrows cents (base_price 9e+25, daily_vol 0.4); "
+        "lower either or generate fewer days"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    days=st.integers(2, 8),
+    tweets_per_day=st.integers(1, 9),
+    rho=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+def test_gen_corpus_equals_the_per_tweet_draw_oracle(days, tweets_per_day, rho, seed):
+    cfg = SynthConfig(days=days, tweets_per_day=tweets_per_day, rho=rho, seed=seed)
+    (tweets, series), (o_tweets, o_series) = gen_corpus(cfg), o_gen_corpus(cfg)
+    assert series == o_series
+    assert [type(p) for p in series.prices] == [type(p) for p in o_series.prices]
+    assert tweets == o_tweets
+    for record, o_record in zip(tweets, o_tweets):
+        assert [type(v) for v in record] == [type(v) for v in o_record], (record, o_record)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("n", [7, 5_001])
+def test_numpy_draws_an_array_of_bounds_as_one_scalar_call_each(seed, n):
+    # gen_corpus draws a day's bounds in one call; its bytes rest on this.
+    bounds = np.random.default_rng(99).choice([2, 3, 4, 5, 6, 7, 9, 13, 17, 46], size=n).tolist()
+    batched, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert batched.integers(0, bounds).tolist() == [
+        int(one_by_one.integers(0, bound)) for bound in bounds
+    ]
+    assert batched.random() == one_by_one.random()
 
 
 def test_corpus_shape_and_ids(small_corpus):
