@@ -24,8 +24,11 @@ resolve to the smallest percent.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import stat
 import struct
 import sys
 from dataclasses import asdict, dataclass
@@ -41,6 +44,7 @@ from .sentiment import DailySignal
 
 _MAGIC = b"SQMODEL\x01"
 _VERSION = 1
+_BLOCK_WORDS = 8192  # 64 KiB of table: save_model writes or skips one block at a time
 
 
 class QLearnError(SentiqError):
@@ -460,7 +464,11 @@ def predict_series(
 
 
 def save_model(model: QModel, path: str | Path) -> None:
-    """Serialize a model: magic, version, JSON config block, row-major table."""
+    """Serialize a model: magic, version, JSON config block, row-major table.
+
+    In a regular file, each 64 KiB block of the table whose bits are all zero
+    is skipped as a hole, not written; the bytes read back are the same.
+    """
     meta = {
         "agent": {**asdict(model.config), "state_mode": "price+sentiment"},
         "reward": model.reward,
@@ -468,19 +476,31 @@ def save_model(model: QModel, path: str | Path) -> None:
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     table = np.ascontiguousarray(model.table, dtype="<f8")
+    # Bits, not values: -0.0 and NaN payloads are data.
+    words = table.reshape(-1).view("<u8")
     with Path(path).open("wb") as handle:
         handle.write(_MAGIC)
         handle.write(struct.pack("<I", _VERSION))
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)
         handle.write(struct.pack("<III", *table.shape))
-        handle.write(memoryview(table))
+        holes = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        for start in range(0, words.size, _BLOCK_WORDS):
+            block = words[start : start + _BLOCK_WORDS]
+            if holes and not block.any():
+                handle.seek(block.nbytes, os.SEEK_CUR)
+            else:
+                handle.write(block)
+        if holes:
+            handle.truncate()  # at the table's end, which may lie in a hole
 
 
 def load_model(path: str | Path) -> QModel:
     """Inverse of :func:`save_model`; rejects foreign or truncated files.
 
-    The table is read straight into its array, so loading holds one copy of it.
+    The table starts as zeros and only the file's data extents are read into
+    it, so a hole is never copied and its pages are never touched: loading a
+    sparse default-grid model costs its live blocks, not its 37 MB.
     """
     with Path(path).open("rb") as handle:
         head = handle.read(len(_MAGIC) + 8)
@@ -513,8 +533,45 @@ def load_model(path: str | Path) -> QModel:
         expected = cfg.table_shape
         if shape != expected:
             raise ModelFormatError(f"{path}: table shape {shape} does not match config {expected}")
-        table = np.empty(shape, dtype="<f8")
-        if handle.readinto(memoryview(table).cast("B")) != table.nbytes or handle.read(1):
+        table = np.zeros(shape, dtype="<f8")
+        start = len(head) + blob_len + len(shape_bytes)
+        stop = start + table.nbytes
+        info = os.fstat(handle.fileno())
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size != stop:
+            raise ModelFormatError(f"{path}: truncated model file")
+        data = memoryview(table).cast("B")
+        # Without hole probes the table is one extent, read from where the handle stands.
+        if regular and hasattr(os, "SEEK_DATA"):
+            extents = _data_extents(handle, start, stop)
+        else:
+            extents = [(start, stop)]
+        for lo, hi in extents:
+            if handle.readinto(data[lo - start : hi - start]) != hi - lo:
+                raise ModelFormatError(f"{path}: truncated model file")
+        if not regular and handle.read(1):
             raise ModelFormatError(f"{path}: truncated model file")
     attribute = None if meta.get("attribute") is None else Attribute(meta["attribute"])
     return QModel(cfg, table, meta.get("reward"), attribute)
+
+
+def _data_extents(handle, start: int, stop: int):
+    """Yield the ``(lo, hi)`` data extents of a regular file's bytes ``[start, stop)``.
+
+    The handle is at ``lo`` when an extent is yielded; the bytes between
+    extents are holes and read as zeros. A filesystem without holes reports
+    one extent. The probes go through the handle, not ``os.lseek``, because
+    the buffered reader caches its position.
+    """
+    pos = start
+    while pos < stop:
+        try:
+            pos = handle.seek(pos, os.SEEK_DATA)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:
+                raise
+            return  # nothing but a hole from pos on
+        hi = handle.seek(pos, os.SEEK_HOLE)
+        handle.seek(pos)
+        yield pos, hi
+        pos = hi

@@ -110,13 +110,22 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
     step_pct = 200.0 * cfg.daily_vol / math.sqrt(_RETURN_TRIALS)
     prices = [max(round_price(cfg.base_price), 0.01)]
     for d in range(1, days):
+        drawn = z[d - 1] * step_pct
         try:
-            prices.append(max(round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
+            prices.append(max(round_price(prices[-1] * (1.0 + drawn / 100.0)), 0.01))
         except CorpusError:
             raise SynthError(
                 f"the price on day {d} outgrows cents (base_price {cfg.base_price}, "
                 f"daily_vol {cfg.daily_vol}); lower either or generate fewer days"
             ) from None
+        # Rounding to cents may move a price by at most a hundredth of a step.
+        moved = (prices[-1] / prices[-2] - 1.0) * 100.0
+        if abs(moved - drawn) > step_pct / 100.0:
+            raise SynthError(
+                f"the price on day {d} moves {moved:+.2f} % for a drawn {drawn:+.2f} %: "
+                f"too small for cents (base_price {cfg.base_price}, daily_vol {cfg.daily_vol}); "
+                "raise either"
+            )
     series = PriceSeries(_START, tuple(prices))
 
     # Latent daily factor: correlated with the standardized next-day move.

@@ -2,10 +2,12 @@
 
 Everything here is written straight from the defining formulas in plain
 Python (no numpy), deliberately sharing no code with ``sentiq`` so that
-agreement between the two is meaningful evidence. The one exception is
-``o_gen_corpus``: a seeded corpus is defined by its draw order, not by a
-formula, so its oracle is ``sentiq.synth.gen_corpus`` as it was when it made
-one numpy call per tweet, with the module's constants and helpers.
+agreement between the two is meaningful evidence. The two exceptions are
+defined by their bytes, not by a formula: a seeded corpus by its draw order,
+so ``o_gen_corpus`` is ``sentiq.synth.gen_corpus`` as it was when it made one
+numpy call per tweet, with the module's constants and helpers; and a model
+file by format v1, so ``o_save_model`` is ``sentiq.qlearn.save_model`` as it
+was when it wrote every byte of the table.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ import itertools
 import json
 import math
 import re
+import struct
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
 from sentiq.corpus import _DAY_S, PriceSeries, TweetRecord, _day_start, round_price
+from sentiq.qlearn import _MAGIC, _VERSION, QModel
 from sentiq.synth import (
     _FILLER_VOCAB,
     _RETURN_TRIALS,
@@ -259,3 +265,24 @@ def o_gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries
             )))
             counter += 1
     return tuple(tweets), series
+
+
+# ---------------------------------------------------------------------------
+# Model files, format v1, the table written densely.
+
+def o_save_model(model: QModel, path: str | Path) -> None:
+    """Serialize a model: magic, version, JSON config block, row-major table."""
+    meta = {
+        "agent": {**asdict(model.config), "state_mode": "price+sentiment"},
+        "reward": model.reward,
+        "attribute": model.attribute,
+    }
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    table = np.ascontiguousarray(model.table, dtype="<f8")
+    with Path(path).open("wb") as handle:
+        handle.write(_MAGIC)
+        handle.write(struct.pack("<I", _VERSION))
+        handle.write(struct.pack("<I", len(blob)))
+        handle.write(blob)
+        handle.write(struct.pack("<III", *table.shape))
+        handle.write(memoryview(table))

@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import attribute_signal_series, make_series, make_signals
+from helpers import SRC_DIR, attribute_signal_series, make_series, make_signals
 from sentiq.attributes import Attribute
 from sentiq.errors import AlignmentError, ModelFormatError
 from sentiq.qlearn import (
@@ -876,3 +881,151 @@ def test_load_rejects_a_float_in_an_integer_field(tmp_path):
     message = r"m\.bin: bad config block: action_min must be an integer, got -8\.0"
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# zero blocks as file holes
+
+BLOCK_WORDS = 8192  # save_model writes or skips the table 64 KiB at a time
+# Bit patterns that are data though some compare equal to 0.0 or to nothing:
+# -0.0, a quiet and a signalling NaN with payloads, the least subnormal, inf.
+SPECIAL_WORDS = (1 << 63, 0x7FF8_0000_0000_0001, 0xFFF0_0000_0000_0002, 1, 0x7FF0 << 48)
+
+
+def grid_config(prices, bins, actions):
+    """A config whose table is (prices, bins, actions); the grid has at least 2 price bins."""
+    return AgentConfig(
+        action_min=0, action_max=actions - 1, price_bucket_width=1.0,
+        price_max=float(prices), sentiment_bins=bins,
+    )
+
+
+@st.composite
+def sparse_models(draw):
+    """Models whose tables are all zero, all live, or zero but for some rows or words.
+
+    Sizes run over one to about thirty 64 KiB blocks, most ending in a partial
+    block and some in a whole one; the chosen words include each block's
+    first and last, so live data sits on every kind of boundary.
+    """
+    shape = draw(st.one_of(
+        st.tuples(st.integers(2, 40), st.sampled_from([1, 3, 5]), st.integers(2, 1200)),
+        st.sampled_from([(8, 1, 1024), (16, 1, 1024), (2, 1, 2)]),
+    ))
+    model = QModel.zeros(grid_config(*shape), reward=CDR, attribute="likes")
+    words = model.table.reshape(-1).view("<u8")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero", "live", "rows", "words"]))
+    if kind == "live":
+        words[:] = rng.integers(1, 2**64, size=words.size, dtype=np.uint64)
+    elif kind == "rows":
+        rows = model.table.reshape(-1, shape[2])
+        for row in draw(st.sets(st.integers(0, len(rows) - 1), max_size=6)):
+            rows[row] = rng.normal(size=shape[2])
+    elif kind == "words":
+        edges = [i for k in range(0, words.size + 1, BLOCK_WORDS) for i in (k - 1, k)]
+        picks = st.one_of(
+            st.sampled_from([i for i in edges if 0 <= i < words.size] + [words.size - 1]),
+            st.integers(0, words.size - 1),
+        )
+        for i in draw(st.lists(picks, min_size=1, max_size=8)):
+            words[i] = draw(st.sampled_from(SPECIAL_WORDS))
+    return model
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=sparse_models())
+def test_save_writes_the_dense_writers_bytes_and_load_reads_every_bit(tmp_path_factory, model):
+    root = tmp_path_factory.mktemp("holes")
+    ours, dense, hand = root / "ours.bin", root / "dense.bin", root / "hand.bin"
+    save_model(model, ours)
+    oracles.o_save_model(model, dense)
+    agent = {**asdict(model.config), "state_mode": "price+sentiment"}
+    write_v1_model(hand, agent, model.table)
+    assert ours.read_bytes() == dense.read_bytes()
+    want = model.table.view("<u8")
+    for path in (ours, dense, hand):
+        assert np.array_equal(load_model(path).table.view("<u8"), want)
+
+
+def one_live_row_default_model():
+    """The CLI's default grid (4,200 rows x 1,101 actions, 37 MB) with one row trained."""
+    model = QModel.zeros(AgentConfig())
+    model.table[3, 10] = np.linspace(-1.0, 1.0, model.table.shape[2])
+    return model
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_loading_a_sparse_default_grid_model_leaves_its_holes_untouched(tmp_path):
+    path = tmp_path / "wide.bin"
+    save_model(one_live_row_default_model(), path)
+    # A fresh child's VmHWM is the peak RSS of its own image alone; ru_maxrss
+    # is not, as Linux carries it across exec from the forking test process.
+    script = (
+        "import sys\n"
+        "from sentiq.qlearn import load_model\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
+        "    return int(hwm.split()[1])\n"
+        "before = peak_kib()\n"
+        "table = load_model(sys.argv[1]).table\n"
+        "assert table[3, 10, 0] == -1.0 and table[3, 10, -1] == 1.0 and table[0, 0, 0] == 0.0\n"
+        "print(peak_kib() - before)\n"
+    )
+    path_dirs = filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_dirs)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 1024  # KiB; a dense load adds the table's 37 MB
+
+
+def test_a_sparse_default_grid_model_takes_under_1_mib_on_disk(tmp_path):
+    probe = tmp_path / "probe.bin"
+    with probe.open("wb") as handle:
+        handle.seek(4 * 2**20)
+        handle.write(b"\x01")
+    if getattr(probe.stat(), "st_blocks", None) is None or probe.stat().st_blocks * 512 >= 2**20:
+        pytest.skip("the temp filesystem does not store holes")
+    path = tmp_path / "wide.bin"
+    model = one_live_row_default_model()
+    save_model(model, path)
+    info = path.stat()
+    assert info.st_size > model.table.nbytes
+    assert info.st_blocks * 512 < 2**20
+
+
+def test_save_model_writes_a_device_that_cannot_hold_holes():
+    save_model(one_live_row_default_model(), os.devnull)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize(
+    "cut, error", [(0, None), (20, "truncated"), (-1, "truncated")], ids=["whole", "short", "long"]
+)
+def test_load_model_reads_a_named_pipe(tmp_path, cut, error):
+    model = QModel.zeros(grid_config(30, 3, 300), reward=SDR)  # 3.3 blocks
+    model.table[9] = 1.5  # words 8,100-8,999: blocks 0 and 1
+    model.table[29, 2, -1] = -0.0  # the last word; block 2 stays a hole
+    saved, fifo = tmp_path / "m.bin", tmp_path / "m.fifo"
+    save_model(model, saved)
+    data = saved.read_bytes()
+    data = data + b"\x00" if cut < 0 else data[: len(data) - cut]
+    os.mkfifo(fifo)
+
+    def feed():
+        with fifo.open("wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        if error is None:
+            assert np.array_equal(load_model(fifo).table.view("<u8"), model.table.view("<u8"))
+        else:
+            with pytest.raises(ModelFormatError, match=error):
+                load_model(fifo)
+    finally:
+        writer.join(10)

@@ -60,6 +60,24 @@ def test_a_walk_that_outgrows_cents_names_the_day_and_settings():
     )
 
 
+@pytest.mark.parametrize(
+    "base_price, message",
+    [
+        # 0.52 -> 0.54 is +3.85 %, 0.08 steps off the drawn +4 %.
+        (0.5, "the price on day 3 moves +3.85 % for a drawn +4.00 %: "),
+        # 0.004 rounds to the 0.01 floor, where no 2 % or 4 % move survives cents.
+        (0.004, "the price on day 1 moves +0.00 % for a drawn +4.00 %: "),
+    ],
+)
+def test_a_walk_too_small_for_cents_names_the_day_and_settings(base_price, message):
+    cfg = SynthConfig(days=12, tweets_per_day=1, base_price=base_price, seed=4)
+    with pytest.raises(SynthError) as info:
+        gen_corpus(cfg)
+    assert str(info.value) == (
+        f"{message}too small for cents (base_price {base_price}, daily_vol 0.02); raise either"
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     days=st.integers(2, 8),
