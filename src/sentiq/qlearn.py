@@ -280,8 +280,67 @@ def select_action(model: QModel, s: State, epsilon: float, rng: np.random.Genera
     return model.greedy_action(s)
 
 
+def _explore_draws(
+    rng: np.random.Generator, epsilon: float, steps: int, n_actions: int
+) -> list[int]:
+    """Per step, the action index :func:`select_action` would explore with, or -1 for greedy.
+
+    Step ``t`` consumes the generator's stream exactly as ``rng.random() < epsilon``
+    followed, on success, by ``rng.integers(n_actions)`` would, without a numpy
+    call per step. The PCG64 words come from ``random_raw`` in chunks sized to
+    the doubles still owed, so no word is drawn unused. A double is a word's top
+    53 bits times ``2**-53``. A bounded integer is numpy's Lemire method on 32-bit draws: each
+    word gives its low half, then its high half, kept between calls in the bit
+    generator's ``has_uint32``/``uinteger`` buffer, which is read on entry and
+    written back on exit. ``epsilon == 0`` draws nothing.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise QLearnError(
+            f"exploration needs a PCG64 generator, got {type(bit_generator).__name__}"
+        )
+    if not 2 <= n_actions <= 2**32:
+        raise QLearnError(f"n_actions must be in [2, 2**32], got {n_actions}")
+    draws = [-1] * steps
+    if epsilon == 0.0:
+        return draws
+    state = bit_generator.state
+    entry = has_half, half = state["has_uint32"], state["uinteger"]
+    threshold = (2**32 - n_actions) % n_actions
+    # A word's double, (u >> 11) * 2**-53, is below epsilon exactly when u is below cut.
+    cut = math.ceil(epsilon * 2**53) << 11
+    words, w = [], 0
+    for t in range(steps):
+        if w == len(words):  # this step's double and each later one need a word
+            words, w = bit_generator.random_raw(steps - t).tolist(), 0
+        u = words[w]
+        w += 1
+        if u >= cut:
+            continue
+        while True:
+            if has_half:
+                x, has_half = half, 0
+            else:
+                if w == len(words):  # this draw and each later double need a word
+                    words, w = bit_generator.random_raw(steps - t).tolist(), 0
+                u = words[w]
+                w += 1
+                x, half, has_half = u & 0xFFFFFFFF, u >> 32, 1
+            m = x * n_actions
+            if m & 0xFFFFFFFF >= threshold:
+                break
+        draws[t] = m >> 32
+    if (has_half, half) != entry:  # random_raw leaves the buffer as it found it
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bit_generator.state = state
+    return draws
+
+
 def epsilon_at(cfg: AgentConfig, episode: int) -> float:
     """Linearly decayed epsilon for a zero-based episode index."""
+    if episode < 0:
+        raise QLearnError(f"episode must be >= 0, got {episode}")
     if cfg.episodes == 1:
         return cfg.epsilon_start
     frac = min(episode, cfg.episodes - 1) / (cfg.episodes - 1)
@@ -360,12 +419,19 @@ def run_episode(
     ``days`` comes from :func:`training_days` on ``model.config`` and is
     passed to every episode of one run. Each step draws, rewards and updates
     exactly as :func:`select_action`, :func:`predicted_price`, the reward
-    functions and :func:`q_update` would. The greedy choice reads each
+    functions and :func:`q_update` would. The episode's exploration draws are
+    taken up front, from blocks of ``rng``'s raw PCG64 words, by
+    :func:`_explore_draws`; ``rng`` must be a PCG64 generator such as
+    ``np.random.default_rng(seed)``, and it ends in the state the per-step
+    scalar draws would leave. The greedy choice reads each
     visited state's row max and first argmax from ``model.table`` when the
     episode starts and keeps them current as Q-values are written, so edits
     to the table between episodes are honoured.
     """
     _check_epsilon(epsilon)
+    n = len(days.prices)
+    if n < 2:
+        raise QLearnError(f"need at least 2 days, got {n}")
     cfg = model.config
     table = model.table
     action_min, n_actions = cfg.action_min, cfg.n_actions
@@ -375,15 +441,11 @@ def run_episode(
     top = [row.item(i) for row, i in zip(q_rows, best)]
 
     prices, rows, moves = days.prices, days.rows, days.moves
-    explore = epsilon > 0.0
     total = 0.0
     pp_prev = prices[0]
     s = rows[0]
-    n = len(prices)
-    for t in range(1, n):
-        if explore and rng.random() < epsilon:
-            i = int(rng.integers(n_actions))
-        else:
+    for t, i in enumerate(_explore_draws(rng, epsilon, n - 1, n_actions), 1):
+        if i < 0:
             i = best[s]
         ap_prev, ap = prices[t - 1], prices[t]
         memo = moves[t - 1]

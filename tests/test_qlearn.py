@@ -27,6 +27,7 @@ from sentiq.qlearn import (
     QModel,
     State,
     TrainLog,
+    _explore_draws,
     discretize_state,
     epsilon_at,
     load_model,
@@ -407,6 +408,59 @@ def test_select_action_uniform_when_fully_random():
     assert statistic < 29.58829844507442
 
 
+def scalar_explore_draws(rng, epsilon, steps, n_actions):
+    """Per step, the index select_action's scalar calls explore with, or -1 for greedy."""
+    return [
+        int(rng.integers(n_actions)) if epsilon > 0.0 and rng.random() < epsilon else -1
+        for _ in range(steps)
+    ]
+
+
+# 2**31 + 1 rejects about half of its 32-bit draws and 3 * 2**30 + 7 a quarter;
+# 2**32 is numpy's unbounded uint32 path.
+EXPLORE_BOUNDS = (2, 17, 1_101, 2**31 + 1, 3 * 2**30 + 7, 2**32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    buffered=st.booleans(),
+    n_actions=st.sampled_from(EXPLORE_BOUNDS),
+    episodes=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1.0),
+            st.integers(1, 90),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_explore_draws_match_the_scalar_calls(seed, buffered, n_actions, episodes):
+    rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # a uint32 draw keeps its word's high half for the next one
+        assert rng.integers(2**32) == want.integers(2**32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    for epsilon, steps in episodes:
+        got = _explore_draws(rng, epsilon, steps, n_actions)
+        assert got == scalar_explore_draws(want, epsilon, steps, n_actions)
+        assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.integers(2**32) == want.integers(2**32)
+    assert rng.random() == want.random()
+
+
+def test_explore_draws_refuse_a_bound_over_2_32():
+    with pytest.raises(QLearnError, match=r"n_actions must be in \[2, 2\*\*32\], got 4294967297"):
+        _explore_draws(np.random.default_rng(0), 0.5, 3, 2**32 + 1)
+
+
+def test_run_episode_refuses_an_mt19937_generator():
+    cfg = one_state_config(action_min=-5, action_max=5)
+    days = training_days(*aligned_inputs((100.0, 110.0, 99.0)), cfg)
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(QLearnError, match="PCG64 generator, got MT19937"):
+        run_episode(QModel.zeros(cfg), days, SDR, 0.5, rng)
+
+
 # ---------------------------------------------------------------------------
 # epsilon schedule
 
@@ -424,6 +478,12 @@ def test_epsilon_single_episode():
     cfg = one_state_config(epsilon_start=0.8, epsilon_end=0.1, episodes=1)
     assert epsilon_at(cfg, 0) == 0.8
     assert epsilon_at(cfg, 3) == 0.8
+
+
+@pytest.mark.parametrize("episodes", [1, 10])
+def test_epsilon_rejects_a_negative_episode(episodes):
+    with pytest.raises(QLearnError, match="episode must be >= 0, got -5"):
+        epsilon_at(AgentConfig(episodes=episodes), -5)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +525,13 @@ def test_run_episode_cdr_carries_previous_prediction():
         total += reward_cdr(g, prices[t], pp)
         pp_prev = pp
     assert got == total / 2
+
+
+def test_run_episode_needs_two_days():
+    cfg = one_state_config()
+    days = training_days(*aligned_inputs((100.0,)), cfg)
+    with pytest.raises(QLearnError, match="need at least 2 days, got 1"):
+        run_episode(QModel.zeros(cfg), days, SDR, 0.5, np.random.default_rng(0))
 
 
 def test_run_episode_updates_visited_entries_only():
