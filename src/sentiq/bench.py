@@ -46,9 +46,9 @@ from .qlearn import (
     AgentConfig,
     QModel,
     TrainingDays,
+    _Learner,
     epsilon_at,
     predict_days,
-    run_episode,
     training_days,
 )
 from .sentiment import DailySignal, Lexicon, day_signal
@@ -206,12 +206,13 @@ def _run_approach(
         days = training_days(train_series, train_signals, agent)
         test_days = training_days(test_series, test_signals, agent)
         model = QModel.zeros(agent, reward=cfg.reward, attribute=attribute)
+        learner = _Learner(model, days, cfg.reward)
         rng = np.random.default_rng(agent.seed)
         # A NaN held-out VAF never meets the target.
         while target_vaf is None or not _held_out(model, test_days)[1] >= target_vaf:
             if clock() >= deadline or (target_vaf is None and episodes_run >= agent.episodes):
                 break
-            run_episode(model, days, cfg.reward, epsilon_at(agent, episodes_run), rng)
+            learner.episode(epsilon_at(agent, episodes_run), rng)
             episodes_run += 1
         predictions, final = _held_out(model, test_days)
         test_prices = test_days.prices[1:]

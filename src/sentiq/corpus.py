@@ -27,7 +27,15 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, getcontext
+from decimal import (
+    ROUND_HALF_UP,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from operator import itemgetter
@@ -59,22 +67,49 @@ _JSON_WS = " \t\n\r"
 _scan_json = make_scanner(json.JSONDecoder())
 
 
+# round_price's own decimal context, every field set here, so that neither the
+# caller's context nor decimal.DefaultContext reaches it. Each call runs in a copy.
+_CENTS_CONTEXT = Context(
+    prec=28, rounding=ROUND_HALF_UP, Emin=-999_999, Emax=999_999, capitals=1, clamp=0,
+    flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+_CENT = Decimal("0.01")
+
+
 def round_price(value: float | int | str | Decimal) -> float:
     """Round to two fraction digits, ties away from zero (99.999 -> 100.0).
 
-    The decimal context holds 28 digits, so 10**26 and up have no room for cents.
+    The value is read as the decimal ``str(value)`` gives (a float's shortest
+    repr) and rounded half up in a private 28-digit context, whatever
+    ``decimal`` context the caller has set, so 10**26 and up have no room for
+    cents. A float ``v`` with ``0 < v`` and ``c = v * 100 < 2**50`` takes a
+    float fast path with the same result: ``floor(c)`` plus one when the
+    fraction ``f`` of ``c`` is above one half, over 100. ``c`` lies within
+    about ``2.2e-16 * c`` of 100 times ``repr(v)``, so the fast path is taken
+    only when ``|f - 0.5| > c * 1e-14``, a margin of about 45 times; a value
+    that near a half-cent tie, and every other input, goes through
+    ``Decimal``. A NaN comes back as NaN; an infinity or a string that is not
+    a number raises :class:`CorpusError`.
     """
-    try:
-        number = Decimal(str(value))
-    except InvalidOperation:
-        raise CorpusError(f"not a number: {value!r}") from None
-    try:
-        return float(number.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-    except InvalidOperation:  # infinite, or more digits than the context holds
-        reason = "not a number"
-        if number.is_finite():
-            reason = f"too large to round to cents in {getcontext().prec} digits"
-        raise CorpusError(f"{reason}: {value!r}") from None
+    if type(value) is float and 0.0 < value:
+        c = value * 100.0
+        if c < 2.0**50:
+            whole = math.floor(c)
+            frac = c - whole  # exact: c and whole lie below 2**50
+            if abs(frac - 0.5) > c * 1e-14:
+                return (whole + (frac > 0.5)) / 100
+    with localcontext(_CENTS_CONTEXT):
+        try:
+            number = Decimal(str(value))
+        except InvalidOperation:
+            raise CorpusError(f"not a number: {value!r}") from None
+        try:
+            return float(number.quantize(_CENT))
+        except InvalidOperation:  # infinite, or more digits than the context holds
+            reason = "not a number"
+            if number.is_finite():
+                reason = f"too large to round to cents in {_CENTS_CONTEXT.prec} digits"
+            raise CorpusError(f"{reason}: {value!r}") from None
 
 
 def _day_start(day: dt.date) -> int:

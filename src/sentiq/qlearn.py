@@ -375,9 +375,11 @@ class TrainingDays(NamedTuple):
     """The inputs of :func:`run_episode` and :func:`predict_days`, built by :func:`training_days`.
 
     ``prices[t]`` is day ``t``'s price and ``states[rows[t]]`` the state day
-    ``t`` leads to; ``states`` lists each distinct state once. ``moves[t]``
-    memoises :func:`predicted_price` from day ``t`` by action index. It fills
-    as episodes run, so one ``TrainingDays`` serves one training run.
+    ``t`` leads to; ``states`` lists each distinct state once, so a run reads
+    one Q-row per distinct state. ``moves[t]`` memoises :func:`predicted_price`
+    from day ``t`` by action index, so each (day, action) pair is priced and
+    rounded to cents once per run. It fills as episodes run, so one
+    ``TrainingDays`` serves one training run.
     """
 
     prices: tuple[float, ...]
@@ -406,6 +408,79 @@ def training_days(
     return TrainingDays(prices.prices, tuple(index), tuple(rows), tuple({} for _ in rows))
 
 
+class _Learner:
+    """One training run's episodes over one model and one :class:`TrainingDays`.
+
+    Made once per run, it reads a view of each visited state's Q-row and that
+    row's max and first argmax from ``model.table`` once, and keeps them
+    current as its episodes write Q-values. Between episodes the table may be
+    read, as :func:`predict_days` does, but not written: an edit made
+    elsewhere is not seen. A kept max equals the row's max bit for bit unless
+    the row holds both zeros; an update never writes -0.0 over +0.0, so a run
+    from :meth:`QModel.zeros` has none. :func:`run_episode` makes one per call.
+    """
+
+    def __init__(self, model: QModel, days: TrainingDays, kind: str) -> None:
+        n = len(days.prices)
+        if n < 2:
+            raise QLearnError(f"need at least 2 days, got {n}")
+        cfg = model.config
+        self.days, self.kind = days, kind
+        self.action_min, self.n_actions = cfg.action_min, cfg.n_actions
+        self.theta, self.gamma = cfg.theta, cfg.gamma
+        table = model.table
+        self.q_rows = [table[s.price_bin, s.sentiment_bin] for s in days.states]
+        self.best = [int(row.argmax()) for row in self.q_rows]
+        self.top = [row.item(i) for row, i in zip(self.q_rows, self.best)]
+
+    def episode(self, epsilon: float, rng: np.random.Generator) -> float:
+        """One chronological pass over the days; returns the mean reward."""
+        _check_epsilon(epsilon)
+        kind, action_min, theta, gamma = self.kind, self.action_min, self.theta, self.gamma
+        q_rows, best, top = self.q_rows, self.best, self.top
+        prices, rows, moves = self.days.prices, self.days.rows, self.days.moves
+        n = len(prices)
+        total = 0.0
+        pp_prev = prices[0]
+        s = rows[0]
+        for t, i in enumerate(_explore_draws(rng, epsilon, n - 1, self.n_actions), 1):
+            if i < 0:
+                i = best[s]
+            ap_prev, ap = prices[t - 1], prices[t]
+            memo = moves[t - 1]
+            pp = memo.get(i)
+            if pp is None:
+                pp = memo[i] = predicted_price(ap_prev, action_min + i)
+            if kind == SDR:
+                r = reward_sdr(ap, pp)
+            elif kind == RDR:
+                r = _rdr(ap, pp)
+            else:
+                tol = 1e-9 * ap
+                _, _, zr1, zr2, degenerate = _geometry(ap, ap_prev, pp_prev, tol)
+                r = _cdr(ap, pp, zr1, zr2, degenerate, tol)
+                pp_prev = pp
+            if not math.isfinite(r):
+                raise QLearnError(f"reward must be finite, got {r}")
+            s_next = rows[t]
+            row = q_rows[s]
+            q = row.item(i)
+            updated = q + theta * (r + gamma * top[s_next] - q)
+            row[i] = updated
+            # Keep (top, best) equal to (row.max(), row.argmax()); Q-values are finite.
+            if updated > top[s]:
+                top[s], best[s] = updated, i
+            elif updated == top[s]:
+                if i < best[s]:
+                    best[s] = i
+            elif i == best[s]:
+                best[s] = j = int(row.argmax())
+                top[s] = row.item(j)
+            total += r
+            s = s_next
+        return total / (n - 1)
+
+
 def run_episode(
     model: QModel,
     days: TrainingDays,
@@ -415,71 +490,17 @@ def run_episode(
 ) -> float:
     """One chronological pass over the training days; returns the mean reward.
 
-    Internal engine shared by :func:`train` and the benchmark harness.
-    ``days`` comes from :func:`training_days` on ``model.config`` and is
-    passed to every episode of one run. Each step draws, rewards and updates
-    exactly as :func:`select_action`, :func:`predicted_price`, the reward
-    functions and :func:`q_update` would. The episode's exploration draws are
-    taken up front, from blocks of ``rng``'s raw PCG64 words, by
-    :func:`_explore_draws`; ``rng`` must be a PCG64 generator such as
-    ``np.random.default_rng(seed)``, and it ends in the state the per-step
-    scalar draws would leave. The greedy choice reads each
-    visited state's row max and first argmax from ``model.table`` when the
-    episode starts and keeps them current as Q-values are written, so edits
-    to the table between episodes are honoured.
+    ``days`` comes from :func:`training_days` on ``model.config``. Each step
+    draws, rewards and updates exactly as :func:`select_action`,
+    :func:`predicted_price`, the reward functions and :func:`q_update` would.
+    The episode's exploration draws are taken up front, from blocks of
+    ``rng``'s raw PCG64 words, by :func:`_explore_draws`; ``rng`` must be a
+    PCG64 generator such as ``np.random.default_rng(seed)``, and it ends in the
+    state the per-step scalar draws would leave. Each call reads the visited
+    states' rows from ``model.table`` afresh, so edits to the table between
+    calls are honoured; :func:`train` instead reads them once per run.
     """
-    _check_epsilon(epsilon)
-    n = len(days.prices)
-    if n < 2:
-        raise QLearnError(f"need at least 2 days, got {n}")
-    cfg = model.config
-    table = model.table
-    action_min, n_actions = cfg.action_min, cfg.n_actions
-    theta, gamma = cfg.theta, cfg.gamma
-    q_rows = [table[s.price_bin, s.sentiment_bin] for s in days.states]
-    best = [int(row.argmax()) for row in q_rows]
-    top = [row.item(i) for row, i in zip(q_rows, best)]
-
-    prices, rows, moves = days.prices, days.rows, days.moves
-    total = 0.0
-    pp_prev = prices[0]
-    s = rows[0]
-    for t, i in enumerate(_explore_draws(rng, epsilon, n - 1, n_actions), 1):
-        if i < 0:
-            i = best[s]
-        ap_prev, ap = prices[t - 1], prices[t]
-        memo = moves[t - 1]
-        pp = memo.get(i)
-        if pp is None:
-            pp = memo[i] = predicted_price(ap_prev, action_min + i)
-        if kind == SDR:
-            r = reward_sdr(ap, pp)
-        elif kind == RDR:
-            r = _rdr(ap, pp)
-        else:
-            tol = 1e-9 * ap
-            _, _, zr1, zr2, degenerate = _geometry(ap, ap_prev, pp_prev, tol)
-            r = _cdr(ap, pp, zr1, zr2, degenerate, tol)
-            pp_prev = pp
-        if not math.isfinite(r):
-            raise QLearnError(f"reward must be finite, got {r}")
-        s_next = rows[t]
-        row = q_rows[s]
-        q = row.item(i)
-        updated = q + theta * (r + gamma * top[s_next] - q)
-        row[i] = updated
-        # Keep (top, best) equal to (row.max(), row.argmax()); Q-values are finite.
-        if updated > top[s]:
-            top[s], best[s] = updated, i
-        elif updated == top[s]:
-            if i < best[s]:
-                best[s] = i
-        elif i == best[s]:
-            best[s] = j = int(row.argmax())
-            top[s] = row.item(j)
-        total += r
-        s = s_next
-    return total / (n - 1)
+    return _Learner(model, days, kind).episode(epsilon, rng)
 
 
 def train(
@@ -499,14 +520,10 @@ def train(
     _check_alignment(prices, signals, min_len=3)
     rng = np.random.default_rng(cfg.seed)
     model = QModel.zeros(cfg, reward=kind, attribute=attribute)
-    days = training_days(prices, signals, cfg)
-    mean_rewards = []
-    epsilons = []
-    for episode in range(cfg.episodes):
-        epsilon = epsilon_at(cfg, episode)
-        mean_rewards.append(run_episode(model, days, kind, epsilon, rng))
-        epsilons.append(epsilon)
-    return model, TrainLog(tuple(mean_rewards), tuple(epsilons))
+    learner = _Learner(model, training_days(prices, signals, cfg), kind)
+    epsilons = tuple(epsilon_at(cfg, episode) for episode in range(cfg.episodes))
+    mean_rewards = tuple(learner.episode(epsilon, rng) for epsilon in epsilons)
+    return model, TrainLog(mean_rewards, epsilons)
 
 
 def predict_days(model: QModel, days: TrainingDays) -> tuple[float, ...]:

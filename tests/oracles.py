@@ -7,7 +7,9 @@ defined by their bytes, not by a formula: a seeded corpus by its draw order,
 so ``o_gen_corpus`` is ``sentiq.synth.gen_corpus`` as it was when it made one
 numpy call per tweet, with the module's constants and helpers; and a model
 file by format v1, so ``o_save_model`` is ``sentiq.qlearn.save_model`` as it
-was when it wrote every byte of the table.
+was when it wrote every byte of the table. ``o_round_price`` is
+``sentiq.corpus.round_price`` as it was before its float fast path, every
+input through ``Decimal``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,20 @@ import math
 import re
 import struct
 from dataclasses import asdict
+from decimal import (
+    ROUND_HALF_UP,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from pathlib import Path
 
 import numpy as np
 
-from sentiq.corpus import _DAY_S, PriceSeries, TweetRecord, _day_start, round_price
+from sentiq.corpus import _DAY_S, PriceSeries, TweetRecord, _day_start
+from sentiq.errors import CorpusError
 from sentiq.qlearn import _MAGIC, _VERSION, QModel
 from sentiq.synth import (
     _FILLER_VOCAB,
@@ -198,6 +209,30 @@ def o_jsonl_rows(path):
 
 
 # ---------------------------------------------------------------------------
+# Prices to cents, every input through ``Decimal`` in a context of its own.
+
+_O_CENTS = Context(
+    prec=28, rounding=ROUND_HALF_UP, Emin=-999_999, Emax=999_999, capitals=1, clamp=0,
+    flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+
+
+def o_round_price(value) -> float:
+    """``str(value)`` as a decimal, rounded half up to two fraction digits."""
+    try:
+        number = Decimal(str(value))
+    except InvalidOperation:
+        raise CorpusError(f"not a number: {value!r}") from None
+    try:
+        return float(number.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP, context=_O_CENTS))
+    except InvalidOperation:  # infinite, or more digits than the context holds
+        reason = "not a number"
+        if number.is_finite():
+            reason = f"too large to round to cents in {_O_CENTS.prec} digits"
+        raise CorpusError(f"{reason}: {value!r}") from None
+
+
+# ---------------------------------------------------------------------------
 # Synthetic corpora, one ``rng.integers`` call per noise tweet's picks, per
 # tweet's filler words and per inserted sentiment token.
 
@@ -212,9 +247,9 @@ def o_gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries
     half = _RETURN_TRIALS // 2
     z = rng.binomial(_RETURN_TRIALS, 0.5, size=days - 1) - half
     step_pct = 200.0 * cfg.daily_vol / math.sqrt(_RETURN_TRIALS)
-    prices = [max(round_price(cfg.base_price), 0.01)]
+    prices = [max(o_round_price(cfg.base_price), 0.01)]
     for d in range(1, days):
-        prices.append(max(round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
+        prices.append(max(o_round_price(prices[-1] * (1.0 + z[d - 1] * step_pct / 100.0)), 0.01))
     series = PriceSeries(_START, tuple(prices))
 
     # Latent daily factor: correlated with the standardized next-day move.

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_series, make_signals
+from helpers import attribute_signal_series, make_series, make_signals
 from sentiq import bench, qlearn
+from sentiq.attributes import Attribute
 from sentiq.bench import (
     PROFILE_INTERVAL,
     BenchConfig,
@@ -200,6 +201,23 @@ def test_fixed_time_is_deterministic_under_a_fake_clock(corpus, lexicon):
     assert reports[0].proposed.predictions == reports[1].proposed.predictions
     # Wall time is measured on the injected clock, so it reproduces too.
     assert reports[0].classic.wall_seconds == reports[1].classic.wall_seconds
+
+
+def test_fixed_time_predicts_as_train_does_on_the_same_head(corpus, lexicon):
+    # Without a target, each side runs the configured episodes on its training
+    # head, from the same seed as train.
+    tweets, series = corpus
+    cfg = small_bench(agent=small_agent(episodes=20), seconds=1000.0)
+    report = compare(tweets, series, lexicon, cfg, clock=stepping_clock(0.001))
+    for result, attribute in ((report.classic, None), (report.proposed, Attribute.FOLLOWERS)):
+        assert result.episodes_run == 20
+        signals = attribute_signal_series(tweets, series, lexicon, attribute)
+        head, head_signals, tail, tail_signals = chronological_split(
+            series, signals, cfg.train_frac
+        )
+        model, _ = qlearn.train(head, head_signals, cfg.reward, cfg.agent, attribute)
+        want = qlearn.predict_days(model, training_days(tail, tail_signals, cfg.agent))
+        assert result.predictions == want
 
 
 def test_fixed_time_tiny_budget_stops_at_day_boundaries(corpus, lexicon):

@@ -1,17 +1,19 @@
 import csv
 import dataclasses
 import datetime as dt
+import decimal
 import enum
 import json
 import logging
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_series, make_tweet
-from oracles import o_jsonl_rows, o_utc_day
+from oracles import o_jsonl_rows, o_round_price, o_utc_day
 from sentiq.corpus import (
     _MAX_TIMESTAMP,
     _MIN_TIMESTAMP,
@@ -71,6 +73,72 @@ def test_a_price_too_large_for_cents_names_the_limit(tmp_path):
         path.write_text(f"date,price\n2021-03-01,{value}\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=rf":2: field 'price': not a number: '{value}'$"):
             load_prices(path)
+
+
+def test_round_price_ignores_the_callers_decimal_context():
+    # Each case gives what the default context gives, on the float fast path
+    # where it applies and on the Decimal path for strings and half-cent ties.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        assert round_price(12345.678) == round_price("12345.678") == 12345.68
+    with decimal.localcontext() as ctx:
+        ctx.traps[decimal.Inexact] = True
+        assert round_price(1.005) == round_price("1.005") == 1.01
+    with decimal.localcontext() as ctx:
+        ctx.traps[decimal.InvalidOperation] = False
+        for value in (math.inf, "inf", "lots"):
+            with pytest.raises(CorpusError, match=r"^not a number: "):
+                round_price(value)
+        for value in (1e30, "1e30"):
+            with pytest.raises(CorpusError, match=r"^too large to round to cents in 28 digits: "):
+                round_price(value)
+
+
+_FAST_PATH_TOP = 2.0**50 / 100  # round_price's float fast path takes values below this
+
+
+def _ulps_from(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+_HALF_CENT_TIES = st.builds(
+    lambda cents, ulps, sign: sign * _ulps_from((cents + 0.5) / 100, ulps),
+    st.integers(0, 2**51),
+    st.integers(-4, 4),
+    st.sampled_from([1.0, -1.0]),
+)
+_NEAR_TIES = st.builds(  # just outside the fast path's tie guard, and just inside it
+    lambda cents, offset: (cents + 0.5 + offset) / 100,
+    st.integers(0, 10**7),
+    st.floats(-1e-6, 1e-6),
+)
+_ROUNDED_INPUTS = st.one_of(
+    _HALF_CENT_TIES,
+    _NEAR_TIES,
+    st.floats(_FAST_PATH_TOP / 4, _FAST_PATH_TOP * 4),
+    st.builds(_ulps_from, st.just(_FAST_PATH_TOP), st.integers(-4, 4)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(0.0, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.integers(-(10**30), 10**30),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(value=_ROUNDED_INPUTS)
+def test_round_price_matches_the_decimal_oracle(value):
+    def outcome(fn):
+        try:
+            return struct.pack("<d", fn(value))
+        except CorpusError as exc:
+            return str(exc)
+
+    assert outcome(round_price) == outcome(o_round_price)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from sentiq.qlearn import (
     State,
     TrainLog,
     _explore_draws,
+    _Learner,
     discretize_state,
     epsilon_at,
     load_model,
@@ -618,11 +620,13 @@ def test_train_matches_step_by_step_reference(kind, action_min, action_max):
     assert log == want_log
 
 
-@pytest.mark.parametrize("kind", [SDR, RDR, CDR])
-@pytest.mark.parametrize("theta,gamma", [(1.0, 0.0), (0.5, 0.5)])
-def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
-    # Whole-dollar prices, whole-percent moves and integer Q-values make
-    # updates land exactly on, above and below the planted row maxima.
+def check_planted_ties(kind, theta, gamma, episode_runner):
+    """Run 30 episodes of ``episode_runner(model, days)`` on a planted table against the reference.
+
+    Whole-dollar prices, whole-percent moves and integer Q-values make
+    updates land exactly on, above and below the planted row maxima. Every
+    episode's mean reward and the final table bytes must match.
+    """
     series, signals = aligned_inputs(
         [100.0, 101.0, 99.0, 100.0, 102.0, 100.0, 100.0, 98.0, 100.0, 103.0] * 3,
         [0.5, -0.5, 0.0] * 10,
@@ -639,14 +643,30 @@ def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
     )
     planted = np.random.default_rng(3).integers(-3, 1, size=(2, 3, 9)).astype(float)
     model, want = QModel(cfg, planted.copy()), QModel(cfg, planted.copy())
-    days = training_days(series, signals, cfg)
+    episode = episode_runner(model, training_days(series, signals, cfg))
     states = [discretize_state(p, s.mean_compound, cfg) for p, s in zip(series.prices, signals)]
     rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
-    for episode in range(cfg.episodes):
-        epsilon = epsilon_at(cfg, episode)
-        got = run_episode(model, days, kind, epsilon, rng)
+    for e in range(cfg.episodes):
+        epsilon = epsilon_at(cfg, e)
+        got = episode(epsilon, rng)
         assert got == reference_episode(want, series.prices, states, kind, epsilon, want_rng)
     assert model.table.tobytes() == want.table.tobytes()
+
+
+@pytest.mark.parametrize("kind", [SDR, RDR, CDR])
+@pytest.mark.parametrize("theta,gamma", [(1.0, 0.0), (0.5, 0.5)])
+def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
+    check_planted_ties(
+        kind, theta, gamma, lambda model, days: functools.partial(run_episode, model, days, kind)
+    )
+
+
+@pytest.mark.parametrize("kind", [SDR, RDR, CDR])
+@pytest.mark.parametrize("theta,gamma", [(1.0, 0.0), (0.5, 0.5)])
+def test_one_learner_matches_reference_on_planted_ties(kind, theta, gamma):
+    # train and compare run every episode on one learner, which reads the
+    # rows' max and argmax once and keeps them current across episodes.
+    check_planted_ties(kind, theta, gamma, lambda model, days: _Learner(model, days, kind).episode)
 
 
 # ---------------------------------------------------------------------------
