@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import profiler
 from .attributes import Attribute
 from .corpus import PriceSeries, TweetRecord, bucket_by_day
@@ -47,7 +45,6 @@ from .qlearn import (
     QModel,
     TrainingDays,
     _Learner,
-    epsilon_at,
     predict_days,
     training_days,
 )
@@ -206,13 +203,12 @@ def _run_approach(
         days = training_days(train_series, train_signals, agent)
         test_days = training_days(test_series, test_signals, agent)
         model = QModel.zeros(agent, reward=cfg.reward, attribute=attribute)
-        learner = _Learner(model, days, cfg.reward)
-        rng = np.random.default_rng(agent.seed)
+        learner = _Learner(model, days)
         # A NaN held-out VAF never meets the target.
         while target_vaf is None or not _held_out(model, test_days)[1] >= target_vaf:
             if clock() >= deadline or (target_vaf is None and episodes_run >= agent.episodes):
                 break
-            learner.episode(epsilon_at(agent, episodes_run), rng)
+            learner.episode()
             episodes_run += 1
         predictions, final = _held_out(model, test_days)
         test_prices = test_days.prices[1:]

@@ -251,39 +251,10 @@ class QModel:
         return self.config.action_min + int(np.argmax(self.table[s.price_bin, s.sentiment_bin]))
 
 
-def q_update(model: QModel, s: State, a: int, r: float, s_next: State) -> float:
-    """One bootstrap update; stores and returns the new Q(s, a)."""
-    cfg = model.config
-    if not cfg.action_min <= a <= cfg.action_max:
-        raise QLearnError(f"action {a} outside [{cfg.action_min}, {cfg.action_max}]")
-    if not math.isfinite(r):
-        raise QLearnError(f"reward must be finite, got {r}")
-    row = model.table[s.price_bin, s.sentiment_bin]
-    idx = a - cfg.action_min
-    best_next = float(model.table[s_next.price_bin, s_next.sentiment_bin].max())
-    updated = row[idx] + cfg.theta * (r + cfg.gamma * best_next - row[idx])
-    row[idx] = updated
-    return float(updated)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon <= 1.0:
-        raise QLearnError(f"epsilon must be in [0, 1], got {epsilon}")
-
-
-def select_action(model: QModel, s: State, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy percent selection."""
-    _check_epsilon(epsilon)
-    cfg = model.config
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return cfg.action_min + int(rng.integers(cfg.n_actions))
-    return model.greedy_action(s)
-
-
 def _explore_draws(
     rng: np.random.Generator, epsilon: float, steps: int, n_actions: int
 ) -> list[int]:
-    """Per step, the action index :func:`select_action` would explore with, or -1 for greedy.
+    """Per step, the action index an epsilon-greedy step explores with, or -1 for greedy.
 
     Step ``t`` consumes the generator's stream exactly as ``rng.random() < epsilon``
     followed, on success, by ``rng.integers(n_actions)`` would, without a numpy
@@ -372,7 +343,7 @@ def _check_alignment(prices: PriceSeries, signals: Sequence[DailySignal], min_le
 
 
 class TrainingDays(NamedTuple):
-    """The inputs of :func:`run_episode` and :func:`predict_days`, built by :func:`training_days`.
+    """The inputs of :class:`_Learner` and :func:`predict_days`, built by :func:`training_days`.
 
     ``prices[t]`` is day ``t``'s price and ``states[rows[t]]`` the state day
     ``t`` leads to; ``states`` lists each distinct state once, so a run reads
@@ -409,33 +380,50 @@ def training_days(
 
 
 class _Learner:
-    """One training run's episodes over one model and one :class:`TrainingDays`.
+    """The training engine: one run's episodes over one model and one :class:`TrainingDays`.
 
-    Made once per run, it reads a view of each visited state's Q-row and that
-    row's max and first argmax from ``model.table`` once, and keeps them
-    current as its episodes write Q-values. Between episodes the table may be
-    read, as :func:`predict_days` does, but not written: an edit made
-    elsewhere is not seen. A kept max equals the row's max bit for bit unless
-    the row holds both zeros; an update never writes -0.0 over +0.0, so a run
-    from :meth:`QModel.zeros` has none. :func:`run_episode` makes one per call.
+    It owns what makes a run: the reward kind, ``model.reward``, checked here;
+    the generator seeded from ``model.config.seed``; and the epsilon schedule,
+    each :meth:`episode` running at :func:`epsilon_at` of the episodes run
+    before it, which it lists in ``epsilons``. It reads a view of each
+    visited state's Q-row and that row's max and first argmax from
+    ``model.table`` once, and keeps them current as its episodes write
+    Q-values. Between episodes the table may be read, as :func:`predict_days`
+    does, but not written: an edit made elsewhere is not seen. A kept max
+    equals the row's max bit for bit unless the row holds both zeros; an
+    update never writes -0.0 over +0.0, so a run from :meth:`QModel.zeros`
+    has none.
     """
 
-    def __init__(self, model: QModel, days: TrainingDays, kind: str) -> None:
+    def __init__(self, model: QModel, days: TrainingDays) -> None:
+        if model.reward not in REWARD_KINDS:
+            raise QLearnError(
+                f"unknown reward kind {model.reward!r}, expected one of {REWARD_KINDS}"
+            )
         n = len(days.prices)
         if n < 2:
             raise QLearnError(f"need at least 2 days, got {n}")
         cfg = model.config
-        self.days, self.kind = days, kind
+        self.config, self.days, self.kind = cfg, days, model.reward
         self.action_min, self.n_actions = cfg.action_min, cfg.n_actions
         self.theta, self.gamma = cfg.theta, cfg.gamma
+        self.rng = np.random.default_rng(cfg.seed)
+        self.epsilons: list[float] = []
         table = model.table
         self.q_rows = [table[s.price_bin, s.sentiment_bin] for s in days.states]
         self.best = [int(row.argmax()) for row in self.q_rows]
         self.top = [row.item(i) for row, i in zip(self.q_rows, self.best)]
 
-    def episode(self, epsilon: float, rng: np.random.Generator) -> float:
-        """One chronological pass over the days; returns the mean reward."""
-        _check_epsilon(epsilon)
+    def episode(self) -> float:
+        """The next chronological pass over the days; returns its mean reward.
+
+        Each step draws, rewards and updates as an epsilon-greedy choice,
+        :func:`predicted_price`, the reward functions and the one-step
+        bootstrap would; the episode's exploration draws come up front from
+        :func:`_explore_draws`.
+        """
+        epsilon = epsilon_at(self.config, len(self.epsilons))
+        self.epsilons.append(epsilon)
         kind, action_min, theta, gamma = self.kind, self.action_min, self.theta, self.gamma
         q_rows, best, top = self.q_rows, self.best, self.top
         prices, rows, moves = self.days.prices, self.days.rows, self.days.moves
@@ -443,7 +431,7 @@ class _Learner:
         total = 0.0
         pp_prev = prices[0]
         s = rows[0]
-        for t, i in enumerate(_explore_draws(rng, epsilon, n - 1, self.n_actions), 1):
+        for t, i in enumerate(_explore_draws(self.rng, epsilon, n - 1, self.n_actions), 1):
             if i < 0:
                 i = best[s]
             ap_prev, ap = prices[t - 1], prices[t]
@@ -481,28 +469,6 @@ class _Learner:
         return total / (n - 1)
 
 
-def run_episode(
-    model: QModel,
-    days: TrainingDays,
-    kind: str,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> float:
-    """One chronological pass over the training days; returns the mean reward.
-
-    ``days`` comes from :func:`training_days` on ``model.config``. Each step
-    draws, rewards and updates exactly as :func:`select_action`,
-    :func:`predicted_price`, the reward functions and :func:`q_update` would.
-    The episode's exploration draws are taken up front, from blocks of
-    ``rng``'s raw PCG64 words, by :func:`_explore_draws`; ``rng`` must be a
-    PCG64 generator such as ``np.random.default_rng(seed)``, and it ends in the
-    state the per-step scalar draws would leave. Each call reads the visited
-    states' rows from ``model.table`` afresh, so edits to the table between
-    calls are honoured; :func:`train` instead reads them once per run.
-    """
-    return _Learner(model, days, kind).episode(epsilon, rng)
-
-
 def train(
     prices: PriceSeries,
     signals: Sequence[DailySignal],
@@ -515,15 +481,11 @@ def train(
     Deterministic for a fixed config: the only randomness is the generator
     seeded from ``cfg.seed``.
     """
-    if kind not in REWARD_KINDS:
-        raise QLearnError(f"unknown reward kind {kind!r}, expected one of {REWARD_KINDS}")
     _check_alignment(prices, signals, min_len=3)
-    rng = np.random.default_rng(cfg.seed)
     model = QModel.zeros(cfg, reward=kind, attribute=attribute)
-    learner = _Learner(model, training_days(prices, signals, cfg), kind)
-    epsilons = tuple(epsilon_at(cfg, episode) for episode in range(cfg.episodes))
-    mean_rewards = tuple(learner.episode(epsilon, rng) for epsilon in epsilons)
-    return model, TrainLog(mean_rewards, epsilons)
+    learner = _Learner(model, training_days(prices, signals, cfg))
+    mean_rewards = tuple(learner.episode() for _ in range(cfg.episodes))
+    return model, TrainLog(mean_rewards, tuple(learner.epsilons))
 
 
 def predict_days(model: QModel, days: TrainingDays) -> tuple[float, ...]:

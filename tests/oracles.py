@@ -1,15 +1,25 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written straight from the defining formulas in plain
+Most of what is here is written straight from the defining formulas in plain
 Python (no numpy), deliberately sharing no code with ``sentiq`` so that
-agreement between the two is meaningful evidence. The two exceptions are
-defined by their bytes, not by a formula: a seeded corpus by its draw order,
-so ``o_gen_corpus`` is ``sentiq.synth.gen_corpus`` as it was when it made one
-numpy call per tweet, with the module's constants and helpers; and a model
-file by format v1, so ``o_save_model`` is ``sentiq.qlearn.save_model`` as it
-was when it wrote every byte of the table. ``o_round_price`` is
-``sentiq.corpus.round_price`` as it was before its float fast path, every
-input through ``Decimal``.
+agreement between the two is meaningful evidence. The exceptions are defined
+by their bytes or their draw order, not by a formula:
+
+* a seeded corpus by its draw order, so ``o_gen_corpus`` is
+  ``sentiq.synth.gen_corpus`` as it was when it made one numpy call per
+  tweet, with the module's constants and helpers;
+* a model file by format v1, so ``o_save_model`` is
+  ``sentiq.qlearn.save_model`` as it was when it wrote every byte of the table;
+* ``o_round_price`` is ``sentiq.corpus.round_price`` as it was before its
+  float fast path, every input through ``Decimal``;
+* a training run by its draws and updates, so ``o_select_action`` and
+  ``o_q_update`` are the scalar epsilon-greedy choice and bootstrap update
+  ``sentiq.qlearn`` once trained with, one numpy draw per call and greedy
+  through ``QModel.greedy_action``, and ``o_train`` steps a run through them
+  one day at a time. It reuses ``sentiq``'s public reward functions
+  (``reward_sdr``, ``reward_rdr``, ``reward_cdr`` with
+  ``zero_reward_points``), ``predicted_price``, ``discretize_state`` and the
+  schedule ``epsilon_at``.
 """
 
 from __future__ import annotations
@@ -35,7 +45,23 @@ import numpy as np
 
 from sentiq.corpus import _DAY_S, PriceSeries, TweetRecord, _day_start
 from sentiq.errors import CorpusError
-from sentiq.qlearn import _MAGIC, _VERSION, QModel
+from sentiq.qlearn import (
+    _MAGIC,
+    _VERSION,
+    RDR,
+    SDR,
+    QLearnError,
+    QModel,
+    State,
+    TrainLog,
+    discretize_state,
+    epsilon_at,
+    predicted_price,
+    reward_cdr,
+    reward_rdr,
+    reward_sdr,
+    zero_reward_points,
+)
 from sentiq.synth import (
     _FILLER_VOCAB,
     _RETURN_TRIALS,
@@ -124,6 +150,65 @@ def o_value_iteration(n_states, n_actions, transition, reward, gamma, tol=1e-12)
         best = max(qs)
         policy.append(min(a for a in range(n_actions) if qs[a] == best))
     return policy, values
+
+
+# ---------------------------------------------------------------------------
+# Q-learning one step at a time: a numpy draw per choice, a table read per update.
+
+def o_q_update(model: QModel, s: State, a: int, r: float, s_next: State) -> float:
+    """One bootstrap update; stores and returns the new Q(s, a)."""
+    cfg = model.config
+    if not cfg.action_min <= a <= cfg.action_max:
+        raise QLearnError(f"action {a} outside [{cfg.action_min}, {cfg.action_max}]")
+    if not math.isfinite(r):
+        raise QLearnError(f"reward must be finite, got {r}")
+    row = model.table[s.price_bin, s.sentiment_bin]
+    idx = a - cfg.action_min
+    best_next = float(model.table[s_next.price_bin, s_next.sentiment_bin].max())
+    updated = row[idx] + cfg.theta * (r + cfg.gamma * best_next - row[idx])
+    row[idx] = updated
+    return float(updated)
+
+
+def o_select_action(model: QModel, s: State, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy percent selection."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise QLearnError(f"epsilon must be in [0, 1], got {epsilon}")
+    cfg = model.config
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return cfg.action_min + int(rng.integers(cfg.n_actions))
+    return model.greedy_action(s)
+
+
+def o_episode(model, prices, states, kind, epsilon, rng) -> float:
+    """One chronological pass, day by day through ``o_select_action`` and ``o_q_update``."""
+    total = 0.0
+    pp_prev = prices[0]
+    for t in range(1, len(prices)):
+        a = o_select_action(model, states[t - 1], epsilon, rng)
+        pp = predicted_price(prices[t - 1], a)
+        if kind == SDR:
+            r = reward_sdr(prices[t], pp)
+        elif kind == RDR:
+            r = reward_rdr(prices[t], pp)
+        else:
+            r = reward_cdr(zero_reward_points(prices[t], prices[t - 1], pp_prev), prices[t], pp)
+            pp_prev = pp
+        o_q_update(model, states[t - 1], a, r, states[t])
+        total += r
+    return total / (len(prices) - 1)
+
+
+def o_train(series, signals, kind, cfg) -> tuple[QModel, TrainLog]:
+    """A fresh model trained as ``sentiq.qlearn.train`` must: ``cfg.episodes`` of ``o_episode``."""
+    model = QModel.zeros(cfg, reward=kind)
+    rng = np.random.default_rng(cfg.seed)
+    states = [discretize_state(p, s.mean_compound, cfg) for p, s in zip(series.prices, signals)]
+    epsilons = tuple(epsilon_at(cfg, e) for e in range(cfg.episodes))
+    means = tuple(
+        o_episode(model, series.prices, states, kind, epsilon, rng) for epsilon in epsilons
+    )
+    return model, TrainLog(means, epsilons)
 
 
 # ---------------------------------------------------------------------------

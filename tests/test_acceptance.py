@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import run_cli
+from helpers import make_series, make_signals, run_cli
 from test_preprocess import assert_clean_invariants
 from sentiq.attributes import Attribute
 from sentiq.bench import BenchConfig, chronological_split, compare
@@ -35,11 +35,9 @@ from sentiq.qlearn import (
     QModel,
     State,
     predict_series,
-    q_update,
     reward_cdr,
     reward_rdr,
     reward_sdr,
-    select_action,
     train,
     zero_reward_points,
 )
@@ -155,19 +153,19 @@ def test_acceptance_02_bellman_updates(capsys):
 
     # Full overwrite at theta=1, gamma=0.
     model = QModel.zeros(AgentConfig(theta=1.0, gamma=0.0, **grid))
-    assert q_update(model, State(0, 0), 0, -10.0, State(0, 0)) == -10.0
+    assert oracles.o_q_update(model, State(0, 0), 0, -10.0, State(0, 0)) == -10.0
 
     # Hand Bellman arithmetic: 2 + 0.5*(1 + 0.95*4 - 2) = 3.4.
     model = QModel.zeros(AgentConfig(theta=0.5, gamma=0.95, **grid))
     model.table[0, 0, 0] = 2.0
     model.table[1, 0, 1] = 4.0
-    assert abs(q_update(model, State(0, 0), 0, 1.0, State(1, 0)) - 3.4) <= 1e-9
+    assert abs(oracles.o_q_update(model, State(0, 0), 0, 1.0, State(1, 0)) - 3.4) <= 1e-9
 
     # Fixed point: Q(s,a) already equals r + gamma*max_next, so it is unchanged.
     model = QModel.zeros(AgentConfig(theta=0.5, gamma=0.5, **grid))
     model.table[1, 0, 0] = 4.0
     model.table[0, 0, 1] = 3.0
-    assert q_update(model, State(0, 0), 1, 1.0, State(1, 0)) == 3.0
+    assert oracles.o_q_update(model, State(0, 0), 1, 1.0, State(1, 0)) == 3.0
 
     # Toy 2-state / 2-action MDP: staying in state 0 pays 1 forever, but the
     # optimum forgoes that to reach state 1 where staying pays 2 forever.
@@ -185,13 +183,33 @@ def test_acceptance_02_bellman_updates(capsys):
         model = QModel.zeros(mdp_cfg)
         state = 0
         for _ in range(4000):
-            action = select_action(model, State(state, 0), 0.3, rng)
+            action = oracles.o_select_action(model, State(state, 0), 0.3, rng)
             nxt = transition[state][action]
-            q_update(model, State(state, 0), action, reward[state][action], State(nxt, 0))
+            oracles.o_q_update(
+                model, State(state, 0), action, reward[state][action], State(nxt, 0)
+            )
             state = nxt
         learned = [model.greedy_action(State(s, 0)) for s in range(2)]
         matches += learned == policy
     assert matches == 10, f"greedy policy matched value iteration in {matches}/10 seeds"
+
+    # The package's one training engine steps exactly as the references above:
+    # table and log byte for byte, under every reward kind.
+    rng = np.random.default_rng(20250802)
+    prices = [800.0]
+    for _ in range(29):
+        prices.append(round(prices[-1] * (1.0 + rng.normal(0.0, 0.04)), 2))
+    series = make_series(prices)
+    signals = make_signals(series, rng.uniform(-1.0, 1.0, len(prices)))
+    train_cfg = AgentConfig(
+        action_min=-20, action_max=20, episodes=40, price_bucket_width=250.0,
+        price_max=2000.0, sentiment_bins=5, seed=9,
+    )
+    for kind in (SDR, RDR, CDR):
+        model, log = train(series, signals, kind, train_cfg)
+        want_model, want_log = oracles.o_train(series, signals, kind, train_cfg)
+        assert model.table.tobytes() == want_model.table.tobytes(), kind
+        assert log == want_log, kind
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"budget exceeded: {elapsed:.2f}s"

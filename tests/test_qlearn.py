@@ -1,8 +1,8 @@
-import functools
 import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -35,13 +35,10 @@ from sentiq.qlearn import (
     load_model,
     predict_series,
     predicted_price,
-    q_update,
     reward_cdr,
     reward_rdr,
     reward_sdr,
-    run_episode,
     save_model,
-    select_action,
     train,
     training_days,
     zero_reward_points,
@@ -319,13 +316,13 @@ def test_every_reward_peaks_at_perfect_prediction(ap, pp):
 
 
 # ---------------------------------------------------------------------------
-# Bellman update
+# Bellman update, on the one-step reference the engine is checked against
 
 
 def test_q_update_full_overwrite():
     model = QModel.zeros(one_state_config(theta=1.0, gamma=0.0))
     s = State(0, 0)
-    assert q_update(model, s, 0, -10.0, s) == -10.0
+    assert oracles.o_q_update(model, s, 0, -10.0, s) == -10.0
     assert model.table[0, 0, 0] == -10.0
 
 
@@ -335,7 +332,7 @@ def test_q_update_hand_example():
     s, s_next = State(0, 0), State(1, 0)
     model.table[0, 0, 0] = 2.0
     model.table[1, 0, 1] = 4.0
-    got = q_update(model, s, 0, 1.0, s_next)
+    got = oracles.o_q_update(model, s, 0, 1.0, s_next)
     assert got == pytest.approx(3.4, abs=1e-9)
     assert model.table[0, 0, 0] == got
 
@@ -346,43 +343,40 @@ def test_q_update_fixed_point():
     s, s_next = State(0, 0), State(1, 0)
     model.table[1, 0, 0] = 4.0  # max next = 4, so r + gamma*max = 1 + 2 = 3
     model.table[0, 0, 1] = 3.0
-    assert q_update(model, s, 1, 1.0, s_next) == 3.0
+    assert oracles.o_q_update(model, s, 1, 1.0, s_next) == 3.0
     assert model.table[0, 0, 1] == 3.0
 
 
 def test_q_update_rejects_out_of_range_action():
     model = QModel.zeros(one_state_config())
     with pytest.raises(QLearnError, match="outside"):
-        q_update(model, State(0, 0), 7, 0.0, State(0, 0))
+        oracles.o_q_update(model, State(0, 0), 7, 0.0, State(0, 0))
 
 
 def test_q_update_rejects_non_finite_reward():
     model = QModel.zeros(one_state_config())
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(QLearnError, match="finite"):
-            q_update(model, State(0, 0), 0, bad, State(0, 0))
+            oracles.o_q_update(model, State(0, 0), 0, bad, State(0, 0))
 
 
 # ---------------------------------------------------------------------------
-# action selection
+# action selection: the greedy choice and the exploration draws
 
 
 def test_select_action_greedy_unique_max():
     cfg = AgentConfig(action_min=-5, action_max=5, price_max=1000.0, price_bucket_width=500.0)
     model = QModel.zeros(cfg)
     model.table[0, 10, 8] = 2.5  # action +3
-    rng = np.random.default_rng(0)
-    assert select_action(model, State(0, 10), 0.0, rng) == 3
+    assert model.greedy_action(State(0, 10)) == 3
 
 
 def test_select_action_tie_breaks_to_smallest_percent():
     cfg = AgentConfig(action_min=-5, action_max=5, price_max=1000.0, price_bucket_width=500.0)
     model = QModel.zeros(cfg)
-    rng = np.random.default_rng(0)
-    assert select_action(model, State(0, 10), 0.0, rng) == -5
+    assert model.greedy_action(State(0, 10)) == -5
     model.table[0, 10, 2] = 1.0  # actions -3 and +1 tie at the max
     model.table[0, 10, 6] = 1.0
-    assert select_action(model, State(0, 10), 0.0, rng) == -3
     assert model.greedy_action(State(0, 10)) == -3
 
 
@@ -390,28 +384,25 @@ def test_select_action_validates_epsilon():
     model = QModel.zeros(one_state_config())
     rng = np.random.default_rng(0)
     with pytest.raises(QLearnError, match="epsilon"):
-        select_action(model, State(0, 0), 1.5, rng)
+        oracles.o_select_action(model, State(0, 0), 1.5, rng)
 
 
-def test_select_action_uniform_when_fully_random():
-    cfg = AgentConfig(action_min=-5, action_max=5, price_max=1000.0, price_bucket_width=500.0)
-    model = QModel.zeros(cfg)
-    model.table[0, 10, 0] = 50.0  # a greedy pull that must be ignored at epsilon=1
-    rng = np.random.default_rng(42)
+def test_explore_draws_uniform_when_fully_random():
+    n_actions = 11
     draws = 10_000
-    counts = np.zeros(cfg.n_actions, dtype=int)
-    for _ in range(draws):
-        counts[select_action(model, State(0, 10), 1.0, rng) - cfg.action_min] += 1
+    explored = _explore_draws(np.random.default_rng(42), 1.0, draws, n_actions)
+    assert min(explored) >= 0  # at epsilon=1 no step is greedy
+    counts = np.bincount(explored, minlength=n_actions)
     assert counts.sum() == draws
     # Pearson's chi-squared against the uniform; 29.588... is the 0.999 quantile
     # of chi-squared with 10 degrees of freedom, so this passes when p > 0.001.
-    expected = draws / cfg.n_actions
+    expected = draws / n_actions
     statistic = float(np.sum((counts - expected) ** 2) / expected)
     assert statistic < 29.58829844507442
 
 
 def scalar_explore_draws(rng, epsilon, steps, n_actions):
-    """Per step, the index select_action's scalar calls explore with, or -1 for greedy."""
+    """Per step, the index o_select_action's scalar calls explore with, or -1 for greedy."""
     return [
         int(rng.integers(n_actions)) if epsilon > 0.0 and rng.random() < epsilon else -1
         for _ in range(steps)
@@ -455,12 +446,10 @@ def test_explore_draws_refuse_a_bound_over_2_32():
         _explore_draws(np.random.default_rng(0), 0.5, 3, 2**32 + 1)
 
 
-def test_run_episode_refuses_an_mt19937_generator():
-    cfg = one_state_config(action_min=-5, action_max=5)
-    days = training_days(*aligned_inputs((100.0, 110.0, 99.0)), cfg)
+def test_explore_draws_refuse_an_mt19937_generator():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(QLearnError, match="PCG64 generator, got MT19937"):
-        run_episode(QModel.zeros(cfg), days, SDR, 0.5, rng)
+        _explore_draws(rng, 0.5, 2, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -489,35 +478,36 @@ def test_epsilon_rejects_a_negative_episode(episodes):
 
 
 # ---------------------------------------------------------------------------
-# run_episode
+# one episode of the training engine
 
 
-def pinned_model(cfg, action, value=1e6):
+def pinned_model(cfg, action, value=1e6, reward=None):
     """Model whose greedy choice is pinned to one action in every state."""
-    model = QModel.zeros(cfg)
+    model = QModel.zeros(cfg, reward=reward)
     model.table[:, :, action - cfg.action_min] = value
     return model
 
 
+def greedy_config(**overrides):
+    """``one_state_config`` with epsilon 0 throughout, so every step is greedy."""
+    return one_state_config(epsilon_start=0.0, epsilon_end=0.0, **overrides)
+
+
 def test_run_episode_mean_reward_sdr_rdr():
-    cfg = one_state_config(action_min=-5, action_max=5)
+    cfg = greedy_config(action_min=-5, action_max=5)
     prices = (100.0, 110.0, 99.0)
     days = training_days(*aligned_inputs(prices), cfg)
     for kind, fn in ((SDR, reward_sdr), (RDR, reward_rdr)):
-        model = pinned_model(cfg, action=0)
-        rng = np.random.default_rng(0)
-        got = run_episode(model, days, kind, 0.0, rng)
+        got = _Learner(pinned_model(cfg, action=0, reward=kind), days).episode()
         expected = (fn(110.0, 100.0) + fn(99.0, 110.0)) / 2
         assert got == expected
 
 
 def test_run_episode_cdr_carries_previous_prediction():
-    cfg = one_state_config(action_min=-5, action_max=5)
+    cfg = greedy_config(action_min=-5, action_max=5)
     prices = (100.0, 110.0, 99.0)
     days = training_days(*aligned_inputs(prices), cfg)
-    model = pinned_model(cfg, action=5)
-    rng = np.random.default_rng(0)
-    got = run_episode(model, days, CDR, 0.0, rng)
+    got = _Learner(pinned_model(cfg, action=5, reward=CDR), days).episode()
 
     pp_prev = prices[0]  # bootstrap: day 0's prediction is its actual price
     total = 0.0
@@ -533,64 +523,26 @@ def test_run_episode_needs_two_days():
     cfg = one_state_config()
     days = training_days(*aligned_inputs((100.0,)), cfg)
     with pytest.raises(QLearnError, match="need at least 2 days, got 1"):
-        run_episode(QModel.zeros(cfg), days, SDR, 0.5, np.random.default_rng(0))
+        _Learner(QModel.zeros(cfg, reward=SDR), days)
 
 
 def test_run_episode_updates_visited_entries_only():
-    cfg = one_state_config(action_min=0, action_max=3)
-    model = pinned_model(cfg, action=2, value=500.0)
+    cfg = greedy_config(action_min=0, action_max=3)
+    model = pinned_model(cfg, action=2, value=500.0, reward=SDR)
     before = model.table.copy()
-    rng = np.random.default_rng(0)
     days = training_days(*aligned_inputs((100.0, 101.0, 103.0)), cfg)
-    run_episode(model, days, SDR, 0.0, rng)
+    _Learner(model, days).episode()
     changed = np.argwhere(model.table != before)
     assert {tuple(ix) for ix in changed} == {(0, 0, 2)}
 
 
-def test_run_episode_follows_a_table_changed_between_episodes():
+@pytest.mark.parametrize("reward", ["xdr", None])
+def test_learner_refuses_an_unknown_or_missing_reward_kind(reward):
     cfg = one_state_config(action_min=-5, action_max=5)
-    prices = (100.0, 110.0, 99.0)
-    days = training_days(*aligned_inputs(prices), cfg)
-    model = pinned_model(cfg, action=2)
-    rng = np.random.default_rng(0)
-    run_episode(model, days, SDR, 0.0, rng)
-    model.table[:] = 0.0
-    model.table[0, 0, -4 - cfg.action_min] = 1e6
-    got = run_episode(model, days, SDR, 0.0, rng)
-    pinned = [reward_sdr(prices[t], predicted_price(prices[t - 1], -4)) for t in (1, 2)]
-    expected = sum(pinned) / 2
-    assert got == expected
-    assert np.count_nonzero(model.table) == 1
-
-
-def reference_episode(model, prices, states, kind, epsilon, rng):
-    """One episode stepped through the public pieces, as ``run_episode`` must behave."""
-    total = 0.0
-    pp_prev = prices[0]
-    for t in range(1, len(prices)):
-        a = select_action(model, states[t - 1], epsilon, rng)
-        pp = predicted_price(prices[t - 1], a)
-        if kind == SDR:
-            r = reward_sdr(prices[t], pp)
-        elif kind == RDR:
-            r = reward_rdr(prices[t], pp)
-        else:
-            r = reward_cdr(zero_reward_points(prices[t], prices[t - 1], pp_prev), prices[t], pp)
-            pp_prev = pp
-        q_update(model, states[t - 1], a, r, states[t])
-        total += r
-    return total / (len(prices) - 1)
-
-
-def reference_train(series, signals, kind, cfg):
-    model = QModel.zeros(cfg, reward=kind)
-    rng = np.random.default_rng(cfg.seed)
-    states = [discretize_state(p, s.mean_compound, cfg) for p, s in zip(series.prices, signals)]
-    epsilons = tuple(epsilon_at(cfg, e) for e in range(cfg.episodes))
-    means = tuple(
-        reference_episode(model, series.prices, states, kind, epsilon, rng) for epsilon in epsilons
-    )
-    return model, TrainLog(means, epsilons)
+    days = training_days(*aligned_inputs((100.0, 110.0, 99.0)), cfg)
+    message = f"unknown reward kind {reward!r}, expected one of ('sdr', 'rdr', 'cdr')"
+    with pytest.raises(QLearnError, match=f"^{re.escape(message)}$"):
+        _Learner(QModel.zeros(cfg, reward=reward), days)
 
 
 def random_walk(n, seed, start=800.0, vol=0.04):
@@ -615,22 +567,27 @@ def test_train_matches_step_by_step_reference(kind, action_min, action_max):
         seed=9,
     )
     model, log = train(series, signals, kind, cfg)
-    want_model, want_log = reference_train(series, signals, kind, cfg)
+    want_model, want_log = oracles.o_train(series, signals, kind, cfg)
     assert model.table.tobytes() == want_model.table.tobytes()
     assert log == want_log
 
 
-def check_planted_ties(kind, theta, gamma, episode_runner):
-    """Run 30 episodes of ``episode_runner(model, days)`` on a planted table against the reference.
+def check_planted_ties(kind, theta, gamma, learner_per_episode):
+    """30 episodes on a planted table against the step-by-step reference.
 
     Whole-dollar prices, whole-percent moves and integer Q-values make
     updates land exactly on, above and below the planted row maxima. Every
-    episode's mean reward and the final table bytes must match.
+    episode's mean reward and the final table bytes must match. With
+    ``learner_per_episode`` each episode runs on a fresh learner over the
+    table the last one left, so every episode starts from the learner's
+    own scan of the rows' max and argmax; each fresh learner seeds a fresh
+    generator and runs its first episode, so the epsilon is a constant 0.5.
     """
     series, signals = aligned_inputs(
         [100.0, 101.0, 99.0, 100.0, 102.0, 100.0, 100.0, 98.0, 100.0, 103.0] * 3,
         [0.5, -0.5, 0.0] * 10,
     )
+    constant_epsilon = {"epsilon_start": 0.5, "epsilon_end": 0.5} if learner_per_episode else {}
     cfg = AgentConfig(
         action_min=-4,
         action_max=4,
@@ -640,25 +597,29 @@ def check_planted_ties(kind, theta, gamma, episode_runner):
         sentiment_bins=3,
         theta=theta,
         gamma=gamma,
+        seed=1,
+        **constant_epsilon,
     )
     planted = np.random.default_rng(3).integers(-3, 1, size=(2, 3, 9)).astype(float)
-    model, want = QModel(cfg, planted.copy()), QModel(cfg, planted.copy())
-    episode = episode_runner(model, training_days(series, signals, cfg))
+    model, want = QModel(cfg, planted.copy(), kind), QModel(cfg, planted.copy(), kind)
+    days = training_days(series, signals, cfg)
     states = [discretize_state(p, s.mean_compound, cfg) for p, s in zip(series.prices, signals)]
-    rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    learner, want_rng = _Learner(model, days), np.random.default_rng(cfg.seed)
     for e in range(cfg.episodes):
-        epsilon = epsilon_at(cfg, e)
-        got = episode(epsilon, rng)
-        assert got == reference_episode(want, series.prices, states, kind, epsilon, want_rng)
+        if learner_per_episode:
+            learner, want_rng = _Learner(model, days), np.random.default_rng(cfg.seed)
+        want_mean = oracles.o_episode(
+            want, series.prices, states, kind, epsilon_at(cfg, e), want_rng
+        )
+        assert learner.episode() == want_mean
     assert model.table.tobytes() == want.table.tobytes()
 
 
 @pytest.mark.parametrize("kind", [SDR, RDR, CDR])
 @pytest.mark.parametrize("theta,gamma", [(1.0, 0.0), (0.5, 0.5)])
 def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
-    check_planted_ties(
-        kind, theta, gamma, lambda model, days: functools.partial(run_episode, model, days, kind)
-    )
+    # One episode per learner, each over the table the previous one left.
+    check_planted_ties(kind, theta, gamma, learner_per_episode=True)
 
 
 @pytest.mark.parametrize("kind", [SDR, RDR, CDR])
@@ -666,7 +627,7 @@ def test_run_episode_matches_reference_on_planted_ties(kind, theta, gamma):
 def test_one_learner_matches_reference_on_planted_ties(kind, theta, gamma):
     # train and compare run every episode on one learner, which reads the
     # rows' max and argmax once and keeps them current across episodes.
-    check_planted_ties(kind, theta, gamma, lambda model, days: _Learner(model, days, kind).episode)
+    check_planted_ties(kind, theta, gamma, learner_per_episode=False)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +712,8 @@ def test_train_validates_inputs():
         train(series, signals, "mdr", cfg)
     with pytest.raises(AlignmentError, match="cover"):
         train(series, signals[:-1], SDR, cfg)
+    with pytest.raises(AlignmentError, match="cover"):  # alignment is checked before the kind
+        train(series, signals[:-1], "mdr", cfg)
     short_series, short_signals = aligned_inputs([100.0, 101.0])
     with pytest.raises(AlignmentError, match="at least 3"):
         train(short_series, short_signals, SDR, cfg)
