@@ -384,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args, _options(args))
     except (SentiqError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -52,7 +52,6 @@ TWEET_FORMATS = ("csv", "jsonl")
 _FORMAT_CHOICES = " or ".join(map(repr, TWEET_FORMATS))
 _COUNT_FIELDS = ("followers", "comments", "likes", "retweets")
 _INT_FIELDS = ("timestamp", *_COUNT_FIELDS)
-_INT_INDEXES = tuple(TWEET_FIELDS.index(name) for name in _INT_FIELDS)
 _DAY_S = 86_400
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _tweet_fields = itemgetter(*TWEET_FIELDS)
@@ -251,26 +250,6 @@ class TweetLoadResult:
     total_rows: int
 
 
-def _build_record(fields: Sequence) -> TweetRecord:
-    """One tweet from a row's fields in ``TWEET_FIELDS`` order.
-
-    Converts only what ingest allows (an integer id to its decimal string,
-    decimal strings in the integer fields to ``int``) and leaves every check
-    to ``TweetRecord(...)``, whose :class:`CorpusError` the caller prefixes
-    with the location.
-    """
-    fields = list(fields)
-    if isinstance(fields[0], int) and not isinstance(fields[0], bool):
-        fields[0] = str(fields[0])
-    for i in _INT_INDEXES:
-        if isinstance(fields[i], str):
-            try:
-                fields[i] = int(fields[i], 10)
-            except ValueError:
-                pass
-    return TweetRecord(*fields)
-
-
 def _iso_date(path: Path, line: int, day: str) -> dt.date:
     """The ``date`` field of a ``date,price`` row."""
     try:
@@ -312,7 +291,8 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, tuple]]:
     A line is one JSON value with only JSON whitespace around it, as for
     ``json.loads(line)``: the C scanner reads the stripped line and its
     value counts only when the scan ends at the end of that string. Every
-    other line goes to ``json.loads``, whose error the message carries,
+    other line goes to ``json.loads``, whose error the message carries (a
+    number of more digits than ``int`` converts, 4,300 by default, is one),
     but one nested too deeply to scan fails at once: ``json.loads`` recurses too.
     """
     with path.open(encoding="utf-8") as handle:
@@ -323,14 +303,14 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, tuple]]:
                 stripped = line.strip(_JSON_WS)
                 try:
                     obj, end = _scan_json(stripped, 0)
-                except (StopIteration, json.JSONDecodeError):
+                except (StopIteration, ValueError):  # ValueError: bad JSON, or too many digits
                     end = -1
                 except RecursionError:
                     raise CorpusError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
                 if end != len(stripped):
                     try:
                         obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except ValueError as exc:
                         raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
                 if not isinstance(obj, dict):
                     raise CorpusError(f"{path}:{lineno}: expected an object per line")
@@ -376,8 +356,10 @@ def load_tweets(
     for lineno, fields in rows:
         total += 1
         # A row passes this check only if TweetRecord(...) accepts the same
-        # converted values; every other row goes through _build_record, whose
-        # TweetRecord(...) accepts it or names the field at fault.
+        # converted values. Every other row goes to TweetRecord(...) as the
+        # conversions below left it, which accepts it or names the field at
+        # fault: the integer fields before the first that failed are ints,
+        # and that one keeps its value.
         tweet_id, ts, text, followers, comments, likes, retweets = fields
         try:
             ts = ts if type(ts) is int else int(ts, 10)
@@ -397,11 +379,12 @@ def load_tweets(
         if valid:
             record = make((tweet_id, ts, text, followers, comments, likes, retweets))
         else:
+            if type(tweet_id) is int:  # a JSONL id written as a number
+                tweet_id = str(tweet_id)
             try:
-                record = _build_record(fields)
+                record = TweetRecord(tweet_id, ts, text, followers, comments, likes, retweets)
             except CorpusError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            tweet_id, ts = record.id, record.timestamp
         if tweet_id in seen_ids:
             raise CorpusError(f"{path}:{lineno}: duplicate tweet id {tweet_id!r}")
         seen_ids.add(tweet_id)

@@ -539,17 +539,26 @@ def save_model(model: QModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> QModel:
     """Inverse of :func:`save_model`; rejects foreign or truncated files.
 
+    A regular file whose header claims more bytes than the file holds is
+    refused before its config block is read or its table allocated; a pipe
+    is read as a stream.
+
     The table starts as zeros and only the file's data extents are read into
     it, so a hole is never copied and its pages are never touched: loading a
     sparse default-grid model costs its live blocks, not its 37 MB.
     """
     with Path(path).open("rb") as handle:
+        info = os.fstat(handle.fileno())
+        regular = stat.S_ISREG(info.st_mode)
         head = handle.read(len(_MAGIC) + 8)
         if len(head) < len(_MAGIC) + 8 or not head.startswith(_MAGIC):
             raise ModelFormatError(f"{path}: not a serialized Q-model (bad magic)")
         version, blob_len = struct.unpack_from("<II", head, len(_MAGIC))
         if version != _VERSION:
             raise ModelFormatError(f"{path}: unsupported model version {version}")
+        # A header that claims more than the file holds allocates nothing.
+        if regular and len(head) + blob_len + 12 > info.st_size:
+            raise ModelFormatError(f"{path}: truncated model file")
         blob = handle.read(blob_len)
         shape_bytes = handle.read(12)
         if len(blob) < blob_len or len(shape_bytes) < 12:
@@ -574,13 +583,11 @@ def load_model(path: str | Path) -> QModel:
         expected = cfg.table_shape
         if shape != expected:
             raise ModelFormatError(f"{path}: table shape {shape} does not match config {expected}")
-        table = np.zeros(shape, dtype="<f8")
         start = len(head) + blob_len + len(shape_bytes)
-        stop = start + table.nbytes
-        info = os.fstat(handle.fileno())
-        regular = stat.S_ISREG(info.st_mode)
+        stop = start + 8 * math.prod(shape)
         if regular and info.st_size != stop:
             raise ModelFormatError(f"{path}: truncated model file")
+        table = np.zeros(shape, dtype="<f8")
         data = memoryview(table).cast("B")
         # Without hole probes the table is one extent, read from where the handle stands.
         if regular and hasattr(os, "SEEK_DATA"):

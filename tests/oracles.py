@@ -12,6 +12,10 @@ by their bytes or their draw order, not by a formula:
   ``sentiq.qlearn.save_model`` as it was when it wrote every byte of the table;
 * ``o_round_price`` is ``sentiq.corpus.round_price`` as it was before its
   float fast path, every input through ``Decimal``;
+* ``o_build_record`` is the per-field conversion ``sentiq.corpus`` once ran
+  on every row it did not accept at once, before ``load_tweets`` passed
+  such a row to ``TweetRecord(...)`` as its own conversions left it: each
+  integer field on its own, then ``TweetRecord(...)`` for every check;
 * a training run by its draws and updates, so ``o_select_action`` and
   ``o_q_update`` are the scalar epsilon-greedy choice and bootstrap update
   ``sentiq.qlearn`` once trained with, one numpy draw per call and greedy
@@ -40,6 +44,7 @@ from decimal import (
     Overflow,
 )
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -283,7 +288,7 @@ def o_jsonl_rows(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{lineno}: expected an object per line")
@@ -291,6 +296,35 @@ def o_jsonl_rows(path):
                 if key not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field '{key}'")
             yield lineno, tuple(obj[key] for key in O_TWEET_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# One tweet from a row, each field converted on its own.
+
+_INT_INDEXES = tuple(
+    O_TWEET_FIELDS.index(name)
+    for name in ("timestamp", "followers", "comments", "likes", "retweets")
+)
+
+
+def o_build_record(fields: Sequence) -> TweetRecord:
+    """One tweet from a row's fields in ``TWEET_FIELDS`` order.
+
+    Converts only what ingest allows (an integer id to its decimal string,
+    decimal strings in the integer fields to ``int``) and leaves every check
+    to ``TweetRecord(...)``, whose :class:`CorpusError` the caller prefixes
+    with the location.
+    """
+    fields = list(fields)
+    if isinstance(fields[0], int) and not isinstance(fields[0], bool):
+        fields[0] = str(fields[0])
+    for i in _INT_INDEXES:
+        if isinstance(fields[i], str):
+            try:
+                fields[i] = int(fields[i], 10)
+            except ValueError:
+                pass
+    return TweetRecord(*fields)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import json
 import pytest
 
 from helpers import attribute_signal_series, run_cli
+from sentiq import qlearn
 from sentiq.attributes import Attribute
-from sentiq.cli import SETTINGS, build_parser
+from sentiq.cli import SETTINGS, build_parser, main
 from sentiq.corpus import TWEET_FIELDS, bucket_by_day, load_prices, load_tweets
 from sentiq.preprocess import clean, clean_and_dedup
 from sentiq.qlearn import AgentConfig, QModel, load_model, save_model
@@ -93,6 +94,16 @@ def test_domain_errors_exit_1(tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_an_error_without_text_prints_its_class_name(monkeypatch, capsys):
+    def out_of_memory(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(qlearn, "load_model", out_of_memory)
+    args = ["predict", "--model", "m.bin", "--tweets", "t.csv", "--prices", "p.csv", "--out", "o.csv"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_synth_price_errors_name_the_setting_and_write_nothing(tmp_path):

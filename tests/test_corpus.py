@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_series, make_tweet
-from oracles import o_jsonl_rows, o_round_price, o_utc_day
+from oracles import o_build_record, o_jsonl_rows, o_round_price, o_utc_day
 from sentiq.corpus import (
     _MAX_TIMESTAMP,
     _MIN_TIMESTAMP,
@@ -21,7 +21,6 @@ from sentiq.corpus import (
     CorpusError,
     PriceSeries,
     TweetRecord,
-    _build_record,
     _iter_jsonl_rows,
     bucket_all_days,
     bucket_by_day,
@@ -395,10 +394,11 @@ def test_load_tweets_jsonl(tmp_path):
             f'{{"id": "a", "timestamp": {T0}, "text": "first", "followers": 1, "comments": 0, "likes": 0, "retweets": 0}}',
             "",
             f'{{"id": "b", "timestamp": {T0 + 5}, "text": "second", "followers": 2, "comments": 0, "likes": 0, "retweets": 0}}',
+            f'{{"id": 42, "timestamp": {T0 + 9}, "text": "third", "followers": 3, "comments": 0, "likes": 0, "retweets": 0}}',
         ],
     )
     result = load_tweets(path, format="jsonl")
-    assert [r.id for r in result.records] == ["a", "b"]
+    assert [r.id for r in result.records] == ["a", "b", "42"]
     assert result.records[0].followers == 1
 
 
@@ -414,6 +414,11 @@ def test_load_tweets_jsonl_errors(tmp_path):
     missing = write_lines(tmp_path / "c.jsonl", ['{"id": "a", "timestamp": 1}'])
     with pytest.raises(CorpusError, match="missing field 'text'"):
         load_tweets(missing, format="jsonl")
+
+    # More digits than int() converts (4,300 by default) is a bad line, not a crash.
+    long_number = write_lines(tmp_path / "d.jsonl", [f'{{"id": "a", "timestamp": {"1" * 5000}}}'])
+    with pytest.raises(CorpusError, match=r"d\.jsonl:1: invalid JSON: Exceeds the limit"):
+        load_tweets(long_number, format="jsonl")
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +673,7 @@ def test_day_boundaries_agree_with_day_of(tmp_path, start):
 
 
 # ---------------------------------------------------------------------------
-# load_tweets' fast row check against the per-field checks of _build_record
+# load_tweets' fast row check against the per-field conversions of o_build_record
 
 
 # Per field, values a row may hold besides a valid one; several are valid
@@ -721,7 +726,7 @@ def odd_rows(odd):
 
 
 def reference_load(path, format, window, rows=None):
-    """``load_tweets`` with ``_build_record`` run on every row: the records, or the error.
+    """``load_tweets`` with ``o_build_record`` run on every row: the records, or the error.
 
     ``rows`` stands in for the package's row reader; it may raise
     ``ValueError`` with the message of a bad line.
@@ -733,7 +738,7 @@ def reference_load(path, format, window, rows=None):
     try:
         for lineno, fields in rows:
             try:
-                record = _build_record(fields)
+                record = o_build_record(fields)
             except CorpusError as exc:
                 return f"{path}:{lineno}: {exc}"
             if record.id in seen:
@@ -749,7 +754,7 @@ def reference_load(path, format, window, rows=None):
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_fast_row_check_accepts_exactly_what_build_record_accepts(
+def test_fast_row_check_accepts_exactly_what_the_field_by_field_oracle_accepts(
     tmp_path_factory, format, data
 ):
     rows = data.draw(odd_rows(CSV_ODD if format == "csv" else JSON_ODD))

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -819,6 +820,32 @@ def test_load_rejects_short_blocks_and_trailing_bytes(tmp_path):
     bad.write_bytes(data + b"\x00")
     with pytest.raises(ModelFormatError, match="truncated"):
         load_model(bad)
+
+
+@pytest.mark.parametrize("claim", ["config block", "table"])
+def test_load_refuses_a_header_longer_than_the_file_before_reading_it(tmp_path, claim):
+    small, path = tmp_path / "small.bin", tmp_path / "claim.bin"
+    save_model(QModel.zeros(AgentConfig(action_min=0, action_max=1)), small)
+    data = small.read_bytes()
+    if claim == "config block":  # 18 bytes whose header claims a 256 MiB block
+        data = data[:12] + struct.pack("<I", 256 << 20) + b"{}"
+    else:  # a whole header whose config and shape claim a 256 MiB table
+        (blob_len,) = struct.unpack_from("<I", data, 12)
+        meta = json.loads(data[16 : 16 + blob_len])
+        meta["agent"]["action_max"] = 8_000
+        blob = json.dumps(meta).encode()
+        shape = AgentConfig(action_min=0, action_max=8_000).table_shape
+        data = data[:12] + struct.pack("<I", len(blob)) + blob + struct.pack("<III", *shape)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: truncated model file"
+    assert peak < 2**20
 
 
 def test_load_rejects_unknown_version(tmp_path):
