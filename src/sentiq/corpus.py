@@ -42,6 +42,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import CorpusError
 
 logger = logging.getLogger(__name__)
@@ -73,6 +75,10 @@ _CENTS_CONTEXT = Context(
     flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
 )
 _CENT = Decimal("0.01")
+# round_price's float fast path: taken for a value whose cents c lie below
+# _FAST_CENTS and whose fraction lies more than c * _TIE_MARGIN from one half.
+_FAST_CENTS = 2.0**50
+_TIE_MARGIN = 1e-14
 
 
 def round_price(value: float | int | str | Decimal) -> float:
@@ -92,10 +98,10 @@ def round_price(value: float | int | str | Decimal) -> float:
     """
     if type(value) is float and 0.0 < value:
         c = value * 100.0
-        if c < 2.0**50:
+        if c < _FAST_CENTS:
             whole = math.floor(c)
             frac = c - whole  # exact: c and whole lie below 2**50
-            if abs(frac - 0.5) > c * 1e-14:
+            if abs(frac - 0.5) > c * _TIE_MARGIN:
                 return (whole + (frac > 0.5)) / 100
     with localcontext(_CENTS_CONTEXT):
         try:
@@ -109,6 +115,22 @@ def round_price(value: float | int | str | Decimal) -> float:
             if number.is_finite():
                 reason = f"too large to round to cents in {_CENTS_CONTEXT.prec} digits"
             raise CorpusError(f"{reason}: {value!r}") from None
+
+
+def round_prices_fast(values: np.ndarray) -> np.ndarray:
+    """:func:`round_price` of each float in an array, where its fast path decides.
+
+    Each element the float fast path takes gets the bits :func:`round_price`
+    returns for it, computed with the same float operations; every other
+    element (a value near a half-cent tie, at or below zero, at or above
+    ``2**50`` cents, or not finite) is NaN, left for :func:`round_price`.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = values * 100.0
+        whole = np.floor(c)
+        frac = c - whole
+        fast = (values > 0.0) & (c < _FAST_CENTS) & (np.abs(frac - 0.5) > c * _TIE_MARGIN)
+        return np.where(fast, (whole + (frac > 0.5)) / 100, np.nan)
 
 
 def _day_start(day: dt.date) -> int:

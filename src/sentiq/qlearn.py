@@ -32,19 +32,21 @@ import stat
 import struct
 import sys
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .attributes import Attribute
-from .corpus import PriceSeries, round_price
+from .corpus import PriceSeries, round_price, round_prices_fast
 from .errors import AlignmentError, ModelFormatError, SentiqError, check_int_fields
 from .sentiment import DailySignal
 
 _MAGIC = b"SQMODEL\x01"
 _VERSION = 1
 _BLOCK_WORDS = 8192  # 64 KiB of table: save_model writes or skips one block at a time
+_GRID_BLOCK = 8192  # cells of price grid a _Learner prices at once, 64 KiB per temporary
 
 
 class QLearnError(SentiqError):
@@ -347,26 +349,25 @@ class TrainingDays(NamedTuple):
 
     ``prices[t]`` is day ``t``'s price and ``states[rows[t]]`` the state day
     ``t`` leads to; ``states`` lists each distinct state once, so a run reads
-    one Q-row per distinct state. ``moves[t]`` memoises :func:`predicted_price`
-    from day ``t`` by action index, so each (day, action) pair is priced and
-    rounded to cents once per run. It fills as episodes run, so one
-    ``TrainingDays`` serves one training run.
+    one Q-row per distinct state. It holds no per-run state: one
+    ``TrainingDays`` may serve any number of training runs and prediction
+    passes.
     """
 
     prices: tuple[float, ...]
     states: tuple[State, ...]
     rows: tuple[int, ...]
-    moves: tuple[dict[int, float], ...]
 
 
 def training_days(
     prices: PriceSeries, signals: Sequence[DailySignal], cfg: AgentConfig
 ) -> TrainingDays:
-    """Discretize each day once on ``cfg``'s grid, for one training run or prediction pass.
+    """Discretize each day once on ``cfg``'s grid, for training runs or prediction passes.
 
-    Every price is checked here, once per run: :class:`~sentiq.corpus.PriceSeries`
+    Every price is checked here, once: :class:`~sentiq.corpus.PriceSeries`
     holds it positive and :func:`discretize_state` inside the grid's range; a
-    price outside it stops the run naming its day and ``price_max``.
+    price outside it stops the run naming its day and ``price_max``. No
+    prices are predicted here: :class:`_Learner` prices its own grid.
     """
     index: dict[State, int] = {}
     rows = []
@@ -376,7 +377,26 @@ def training_days(
         except QLearnError as exc:
             raise QLearnError(f"{prices.dates[t]}: {exc}; raise price_max above it") from None
         rows.append(index.setdefault(state, len(index)))
-    return TrainingDays(prices.prices, tuple(index), tuple(rows), tuple({} for _ in rows))
+    return TrainingDays(prices.prices, tuple(index), tuple(rows))
+
+
+def _price_grid(prices: Sequence[float], action_min: int, n_actions: int) -> np.ndarray:
+    """:func:`predicted_price` from each of ``prices`` (rows) by each action index (columns).
+
+    Each row is priced as :func:`predicted_price` prices it, ``prev * (1 + a/100)``
+    in the same float operations, then rounded by
+    :func:`~sentiq.corpus.round_prices_fast`: a cell its fast path leaves
+    undecided is NaN, for the caller to price with :func:`predicted_price`.
+    The rows are priced a block of about ``_GRID_BLOCK`` cells at a time, so
+    the temporaries stay that small whatever the grid's size.
+    """
+    factors = np.array([1.0 + a / 100.0 for a in range(action_min, action_min + n_actions)])
+    grid = np.empty((len(prices), n_actions))
+    step = max(1, _GRID_BLOCK // n_actions)
+    for lo in range(0, len(prices), step):
+        block = np.array(prices[lo : lo + step], dtype=np.float64)
+        grid[lo : lo + step] = round_prices_fast(block[:, None] * factors)
+    return grid
 
 
 class _Learner:
@@ -393,6 +413,12 @@ class _Learner:
     equals the row's max bit for bit unless the row holds both zeros; an
     update never writes -0.0 over +0.0, so a run from :meth:`QModel.zeros`
     has none.
+
+    It prices every (day, action) pair up front, in one :func:`_price_grid`
+    per run, and each NaN cell of that grid the first time an episode picks
+    it. For the ``cdr`` reward it keeps each day's ``1 + alpha`` and
+    tolerance, the two inputs of :func:`zero_reward_points` that do not
+    depend on the previous prediction.
     """
 
     def __init__(self, model: QModel, days: TrainingDays) -> None:
@@ -400,7 +426,8 @@ class _Learner:
             raise QLearnError(
                 f"unknown reward kind {model.reward!r}, expected one of {REWARD_KINDS}"
             )
-        n = len(days.prices)
+        prices = days.prices
+        n = len(prices)
         if n < 2:
             raise QLearnError(f"need at least 2 days, got {n}")
         cfg = model.config
@@ -413,6 +440,11 @@ class _Learner:
         self.q_rows = [table[s.price_bin, s.sentiment_bin] for s in days.states]
         self.best = [int(row.argmax()) for row in self.q_rows]
         self.top = [row.item(i) for row, i in zip(self.q_rows, self.best)]
+        # predicted[t][i] is day t + 1's prediction from day t's price by action index i.
+        self.predicted = list(_price_grid(prices[:-1], self.action_min, self.n_actions))
+        # Day t's 1 + alpha and tolerance, as _geometry and zero_reward_points compute them.
+        self.scale = [math.nan] + [1.0 + (ap - prev) / prev for prev, ap in pairwise(prices)]
+        self.tol = [1e-9 * ap for ap in prices]
 
     def episode(self) -> float:
         """The next chronological pass over the days; returns its mean reward.
@@ -425,8 +457,9 @@ class _Learner:
         epsilon = epsilon_at(self.config, len(self.epsilons))
         self.epsilons.append(epsilon)
         kind, action_min, theta, gamma = self.kind, self.action_min, self.theta, self.gamma
-        q_rows, best, top = self.q_rows, self.best, self.top
-        prices, rows, moves = self.days.prices, self.days.rows, self.days.moves
+        q_rows, best, top, predicted = self.q_rows, self.best, self.top, self.predicted
+        prices, rows = self.days.prices, self.days.rows
+        scale, tols = self.scale, self.tol
         n = len(prices)
         total = 0.0
         pp_prev = prices[0]
@@ -434,19 +467,25 @@ class _Learner:
         for t, i in enumerate(_explore_draws(self.rng, epsilon, n - 1, self.n_actions), 1):
             if i < 0:
                 i = best[s]
-            ap_prev, ap = prices[t - 1], prices[t]
-            memo = moves[t - 1]
-            pp = memo.get(i)
-            if pp is None:
-                pp = memo[i] = predicted_price(ap_prev, action_min + i)
+            ap = prices[t]
+            pp = predicted[t - 1].item(i)
+            if pp != pp:  # NaN: the fast rounding left this cell to predicted_price
+                pp = predicted[t - 1][i] = predicted_price(prices[t - 1], action_min + i)
             if kind == SDR:
                 r = reward_sdr(ap, pp)
             elif kind == RDR:
                 r = _rdr(ap, pp)
             else:
-                tol = 1e-9 * ap
-                _, _, zr1, zr2, degenerate = _geometry(ap, ap_prev, pp_prev, tol)
-                r = _cdr(ap, pp, zr1, zr2, degenerate, tol)
+                # _geometry and _cdr, inline; only a degenerate day calls _cdr.
+                l = abs(ap - pp_prev * scale[t])
+                if l < tols[t]:
+                    r = _cdr(ap, pp, ap - l, ap + l, True, tols[t])
+                elif pp <= ap:
+                    zr = ap - l
+                    r = (pp - zr) / (ap - zr) * 100.0
+                else:
+                    zr = ap + l
+                    r = (pp - zr) / (ap - zr) * 100.0
                 pp_prev = pp
             if not math.isfinite(r):
                 raise QLearnError(f"reward must be finite, got {r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,13 @@ def make_tweet(
         likes=likes,
         retweets=retweets,
     )
+
+
+def ulps_from(x: float, n: int) -> float:
+    """The float ``n`` steps above ``x`` (below it for a negative ``n``)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
 
 
 def make_series(prices, start: dt.date = D0) -> PriceSeries:

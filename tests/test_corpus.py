@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import D0, T0, make_series, make_tweet
+from helpers import D0, T0, make_series, make_tweet, ulps_from
 from oracles import o_build_record, o_jsonl_rows, o_round_price, o_utc_day
 from sentiq.corpus import (
     _MAX_TIMESTAMP,
@@ -96,14 +96,8 @@ def test_round_price_ignores_the_callers_decimal_context():
 _FAST_PATH_TOP = 2.0**50 / 100  # round_price's float fast path takes values below this
 
 
-def _ulps_from(x: float, n: int) -> float:
-    for _ in range(abs(n)):
-        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
-    return x
-
-
 _HALF_CENT_TIES = st.builds(
-    lambda cents, ulps, sign: sign * _ulps_from((cents + 0.5) / 100, ulps),
+    lambda cents, ulps, sign: sign * ulps_from((cents + 0.5) / 100, ulps),
     st.integers(0, 2**51),
     st.integers(-4, 4),
     st.sampled_from([1.0, -1.0]),
@@ -117,7 +111,7 @@ _ROUNDED_INPUTS = st.one_of(
     _HALF_CENT_TIES,
     _NEAR_TIES,
     st.floats(_FAST_PATH_TOP / 4, _FAST_PATH_TOP * 4),
-    st.builds(_ulps_from, st.just(_FAST_PATH_TOP), st.integers(-4, 4)),
+    st.builds(ulps_from, st.just(_FAST_PATH_TOP), st.integers(-4, 4)),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.floats(0.0, 1e6),
     st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf]),

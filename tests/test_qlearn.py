@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import SRC_DIR, attribute_signal_series, make_series, make_signals
+from helpers import SRC_DIR, attribute_signal_series, make_series, make_signals, ulps_from
+from sentiq import corpus, qlearn
 from sentiq.attributes import Attribute
 from sentiq.errors import AlignmentError, ModelFormatError
 from sentiq.qlearn import (
@@ -29,8 +31,10 @@ from sentiq.qlearn import (
     QModel,
     State,
     TrainLog,
+    _cdr,
     _explore_draws,
     _Learner,
+    _price_grid,
     discretize_state,
     epsilon_at,
     load_model,
@@ -629,6 +633,131 @@ def test_one_learner_matches_reference_on_planted_ties(kind, theta, gamma):
     # train and compare run every episode on one learner, which reads the
     # rows' max and argmax once and keeps them current across episodes.
     check_planted_ties(kind, theta, gamma, learner_per_episode=False)
+
+
+# ---------------------------------------------------------------------------
+# the learner's price grid
+
+
+def _prices_near(center: float) -> st.SearchStrategy:
+    return st.one_of(
+        st.floats(center / 2, center * 2), st.integers(-4, 4).map(lambda n: ulps_from(center, n))
+    )
+
+
+@st.composite
+def price_grid_inputs(draw):
+    """Days' prices and an action window for :func:`_price_grid`.
+
+    Actions run from -250 to 1,000, so a window may hold moves to zero and
+    below. Prices mix sub-cent values, values that some action in the
+    window moves to within a few ulps of a half-cent tie, values near the
+    fast path's ``2**50``-cent ceiling at the window's top action, and
+    ordinary ones.
+    """
+    action_min = draw(st.integers(-250, 1000))
+    action_max = draw(st.integers(action_min, 1000))
+    rising = [a for a in range(action_min, action_max + 1) if a > -100]
+    kinds = [st.floats(0.0, 0.01, exclude_min=True), st.floats(0.01, 1e7)]
+    if rising:
+        near_tie = st.builds(
+            lambda cents, a, n: ulps_from((cents + 0.5) / 100 / (1.0 + a / 100.0), n),
+            st.integers(0, 10**9),
+            st.sampled_from(rising),
+            st.integers(-4, 4),
+        )
+        kinds += [near_tie, _prices_near(2.0**50 / 100 / (1.0 + rising[-1] / 100.0))]
+    prices = draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    return prices, action_min, action_max - action_min + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(price_grid_inputs())
+def test_price_grid_matches_predicted_price_bit_for_bit(inputs):
+    # A cell is NaN exactly where predicted_price leaves the float fast path
+    # for Decimal; every other cell holds predicted_price's bits.
+    prices, action_min, n_actions = inputs
+    grid = _price_grid(prices, action_min, n_actions)
+    assert grid.shape == (len(prices), n_actions)
+    entered = []
+    localcontext = corpus.localcontext
+
+    def counting_localcontext(ctx):
+        entered.append(ctx)
+        return localcontext(ctx)
+
+    with mock.patch.object(corpus, "localcontext", counting_localcontext):
+        for prev, row in zip(prices, grid.tolist()):
+            for i, got in enumerate(row):
+                before = len(entered)
+                want = predicted_price(prev, action_min + i)
+                cell = (prev, action_min + i, got, want)
+                if math.isnan(got):
+                    assert len(entered) > before, cell
+                else:
+                    assert len(entered) == before, cell
+                    assert struct.pack("<d", got) == struct.pack("<d", want), cell
+
+
+def test_learner_matches_reference_through_nan_cells_and_degenerate_days(monkeypatch):
+    # Synthetic cent prices on the default action grid: some moves land near a
+    # half-cent tie, a cell the learner prices with predicted_price on first
+    # use. Each episode's first day has degenerate cdr geometry, and so does
+    # a day after an exact prediction, which the quantized synthetic moves
+    # allow; the learner hands those days to _cdr.
+    _, series = gen_corpus(SynthConfig(days=30, tweets_per_day=1, base_price=800.0, seed=2))
+    signals = make_signals(series, np.random.default_rng(2).uniform(-1.0, 1.0, 30))
+    cfg = AgentConfig(
+        episodes=40, price_bucket_width=250.0, price_max=2000.0, sentiment_bins=5, seed=9
+    )
+    fills, degenerate = [], []
+
+    def counting_predicted_price(prev, percent):
+        fills.append(prev * (1.0 + percent / 100.0))
+        return predicted_price(prev, percent)
+
+    def counting_cdr(ap, pp, zr1, zr2, is_degenerate, tol):
+        degenerate.append(is_degenerate)
+        return _cdr(ap, pp, zr1, zr2, is_degenerate, tol)
+
+    monkeypatch.setattr(qlearn, "predicted_price", counting_predicted_price)
+    monkeypatch.setattr(qlearn, "_cdr", counting_cdr)
+    model = QModel.zeros(cfg, reward=CDR)
+    learner = _Learner(model, training_days(series, signals, cfg))
+    nan_cells = sum(int(np.isnan(row).sum()) for row in learner.predicted)
+    means = tuple(learner.episode() for _ in range(cfg.episodes))
+    left = sum(int(np.isnan(row).sum()) for row in learner.predicted)
+    monkeypatch.undo()
+
+    assert sum(v > 0 for v in fills) > 0  # near-tie cells, not only moves to $0
+    assert len(fills) == nan_cells - left  # each NaN cell priced once, then read
+    assert len(degenerate) > cfg.episodes and all(degenerate)  # not only first days
+    want_model, want_log = oracles.o_train(series, signals, CDR, cfg)
+    assert model.table.tobytes() == want_model.table.tobytes()
+    assert TrainLog(means, tuple(learner.epsilons)) == want_log
+
+
+# What the per-day memo dicts the price grid replaced peaked at on the run below
+# (Python 3.11, numpy 2.4).
+_MEMO_PEAK_BYTES = 1_490_206
+
+
+def test_learner_memory_on_the_default_grid_stays_under_the_memo_dicts():
+    tweets, series = gen_corpus(SynthConfig(days=75, tweets_per_day=20, rho=0.8, seed=25))
+    signals = attribute_signal_series(tweets, series, builtin_lexicon(), None)
+    cfg = AgentConfig()
+    assert cfg.n_actions == 1101
+    model = QModel.zeros(cfg, reward=CDR)
+    days = training_days(series, signals, cfg)
+    tracemalloc.start()
+    try:
+        learner = _Learner(model, days)
+        for _ in range(cfg.episodes):
+            learner.episode()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _MEMO_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
