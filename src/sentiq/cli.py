@@ -9,8 +9,9 @@ filtered benchmark: each pipeline gets ``--seconds`` of wall clock, and with
 
 ``sentiment``, ``train`` and ``predict`` load and bucket the raw tweets,
 keep each day's top half by the attribute, and only then clean, dedup and
-score the kept tweets, as ``compare`` does; ``split`` cleans and dedups
-first and ranks the cleaned rows it writes.
+score the kept tweets, as ``compare`` does. ``preprocess`` writes each day
+cleaned and deduplicated in one pass (:func:`~sentiq.preprocess.clean_days`),
+and ``split`` ranks those cleaned rows and writes each day's top half.
 
 Every setting is looked up in three layers, once per run: explicit flags,
 then a ``--config`` file of flat ``key = value`` lines, then the defaults
@@ -40,9 +41,9 @@ from . import bench, corpus, preprocess, qlearn, synth
 from .attributes import Attribute, build_dataset
 from .errors import ConfigError, CorpusError, SentiqError
 from .metrics import evaluate
-# The signal path calls day_signal; daily_signals stays importable here
-# because perfbench's tracer (perfbench/tracing.py) wraps cli.daily_signals
-# by name, as it wraps cli.build_dataset, which split calls.
+# No command calls daily_signals: it stays importable here because
+# perfbench's tracer (perfbench/tracing.py) wraps cli.daily_signals by name,
+# as it wraps cli.build_dataset, which split calls on clean_days' output.
 from .sentiment import Lexicon, builtin_lexicon, daily_signals, day_signal, load_lexicon
 
 logger = logging.getLogger(__name__)
@@ -155,18 +156,6 @@ def _signal_pipeline(opts: ChainMap, attribute: Attribute | None):
     return series, tuple(day_signal(bucket, attribute, lexicon)[0] for bucket in buckets)
 
 
-def _cleaned_rows(buckets) -> tuple[corpus.DayBucket, ...]:
-    """Each day cleaned and deduplicated, as records; unchanged tweets keep their raw record."""
-    days = []
-    for bucket in preprocess.clean_and_dedup(buckets):
-        rows = []
-        for t in bucket.tweets:
-            o = t.original
-            rows.append(o if t.clean_text == o.text else o._replace(text=t.clean_text))
-        days.append(corpus.DayBucket(bucket.date, tuple(rows)))
-    return tuple(days)
-
-
 def _write_json(path: str | Path, payload: dict) -> None:
     """Write ``payload`` as JSON indented by two spaces, with a trailing newline."""
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -182,7 +171,7 @@ def cmd_synth(args: argparse.Namespace, opts: ChainMap) -> int:
 
 def cmd_preprocess(args: argparse.Namespace, opts: ChainMap) -> int:
     _, buckets = _load_buckets(opts)
-    rows = [r for b in _cleaned_rows(buckets) for r in b.tweets]
+    rows = [r for b in preprocess.clean_days(buckets) for r in b.tweets]
     n = corpus.write_tweets(rows, args.out, format=opts["format"])
     print(f"wrote {n} cleaned tweets to {args.out}")
     return 0
@@ -193,7 +182,7 @@ def cmd_split(args: argparse.Namespace, opts: ChainMap) -> int:
     # Unlike the signal path, split ranks the cleaned rows it writes: each day
     # keeps ceil(n/2) of the tweets that survive cleaning and dedup.
     _, buckets = _load_buckets(opts)
-    dataset = build_dataset(_cleaned_rows(buckets), attribute)
+    dataset = build_dataset(preprocess.clean_days(buckets), attribute)
     rows = [r for b in dataset.buckets for r in b.tweets]
     n = corpus.write_tweets(rows, args.out, format=opts["format"])
     meta = {

@@ -77,6 +77,9 @@ _CENTS_CONTEXT = Context(
 _CENT = Decimal("0.01")
 # round_price's float fast path: taken for a value whose cents c lie below
 # _FAST_CENTS and whose fraction lies more than c * _TIE_MARGIN from one half.
+# The margin alone ends the path near 5e13 cents. The _FAST_CENTS test decides
+# only for an infinite c (a value from about 1.8e306 up), which math.floor
+# cannot take; in round_prices_fast such a c fails the margin, so it never does.
 _FAST_CENTS = 2.0**50
 _TIE_MARGIN = 1e-14
 
@@ -87,14 +90,18 @@ def round_price(value: float | int | str | Decimal) -> float:
     The value is read as the decimal ``str(value)`` gives (a float's shortest
     repr) and rounded half up in a private 28-digit context, whatever
     ``decimal`` context the caller has set, so 10**26 and up have no room for
-    cents. A float ``v`` with ``0 < v`` and ``c = v * 100 < 2**50`` takes a
-    float fast path with the same result: ``floor(c)`` plus one when the
+    cents. A float ``v`` with ``0 < v`` and ``c = v * 100 < 2**50`` may take
+    a float fast path with the same result: ``floor(c)`` plus one when the
     fraction ``f`` of ``c`` is above one half, over 100. ``c`` lies within
     about ``2.2e-16 * c`` of 100 times ``repr(v)``, so the fast path is taken
     only when ``|f - 0.5| > c * 1e-14``, a margin of about 45 times; a value
     that near a half-cent tie, and every other input, goes through
-    ``Decimal``. A NaN comes back as NaN; an infinity or a string that is not
-    a number raises :class:`CorpusError`.
+    ``Decimal``. That margin ends the fast path near ``c = 5e13`` (5e11
+    dollars), well below ``2**50``; the ``2**50`` test decides only for a
+    value from about 1.8e306 up, whose ``c`` is infinite, so that
+    ``math.floor`` never sees an infinity. A NaN comes back as NaN; an
+    infinity, a string that is not a number, or a value too large for 28
+    digits (1e307) raises :class:`CorpusError`.
     """
     if type(value) is float and 0.0 < value:
         c = value * 100.0
@@ -122,8 +129,10 @@ def round_prices_fast(values: np.ndarray) -> np.ndarray:
 
     Each element the float fast path takes gets the bits :func:`round_price`
     returns for it, computed with the same float operations; every other
-    element (a value near a half-cent tie, at or below zero, at or above
-    ``2**50`` cents, or not finite) is NaN, left for :func:`round_price`.
+    element (a value near a half-cent tie, at or below zero, from about
+    ``5e13`` cents up, or not finite) is NaN, left for :func:`round_price`.
+    The tie margin refuses all of those large values, an infinite ``c`` too
+    (its fraction is NaN), so here the ``2**50`` test never decides.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         c = values * 100.0
@@ -253,10 +262,12 @@ class DayBucket:
 
     ``tweets`` holds raw :class:`TweetRecord` objects in (timestamp, id)
     order after :func:`bucket_by_day`, the input of the signal stage
-    :func:`sentiq.sentiment.day_signal`. On the staged path that ``split``
-    and ``preprocess`` run, it holds records in rank order (attribute
-    descending, then timestamp, then id) after attribute filtering, and
-    ``CleanTweet`` objects after :func:`sentiq.preprocess.clean_buckets`.
+    :func:`sentiq.sentiment.day_signal` and of
+    :func:`sentiq.preprocess.clean_days`, whose records keep that order.
+    After attribute filtering (``split``) it holds records in rank order
+    (attribute descending, then timestamp, then id), and after the staged
+    :func:`sentiq.preprocess.clean_buckets`, which no command calls,
+    ``CleanTweet`` objects.
     """
 
     date: dt.date

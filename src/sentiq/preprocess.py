@@ -15,6 +15,10 @@ The sequence is repeated until the text stops changing, so every returned
 string is a fixed point of the pipeline: removals can expose new noise (a
 mention hiding a leading ``rt``, a truncated run forming a ``www.`` token)
 and a single pass would leave it behind.
+
+``clean_days`` cleans each day's raw records and drops the texts that clean
+to empty and same-day duplicates in one pass; ``preprocess`` and ``split``
+write its output.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .corpus import DayBucket, TweetRecord
+from .corpus import DayBucket, TweetRecord, _by_time_then_id
 
 logger = logging.getLogger(__name__)
 
@@ -79,16 +83,56 @@ def clean(text: str) -> str:
         text = cleaned
 
 
+def clean_days(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
+    """Each day's raw records cleaned and deduplicated in one pass, as records.
+
+    A day's records are taken in (timestamp, id) order and each text is
+    cleaned; a record whose text cleans to empty, or to a text an earlier
+    record of that day already had, is dropped (the first one wins), while
+    duplicates on later days are kept. An unchanged record comes back as the
+    same object and a changed one as a copy with the cleaned text. This is
+    what ``preprocess`` writes and ``split`` ranks; one warning gives the
+    number of empty texts over all days.
+    """
+    new = tuple.__new__
+    days = []
+    dropped = 0
+    for bucket in buckets:
+        seen: set[str] = set()
+        kept = []
+        for record in sorted(bucket.tweets, key=_by_time_then_id):
+            raw = record[2]
+            text = clean(raw)
+            if not text:
+                dropped += 1
+            elif text not in seen:
+                seen.add(text)
+                if text != raw:  # the other fields passed TweetRecord's checks already
+                    record = new(TweetRecord, (
+                        record[0], record[1], text, record[3], record[4], record[5], record[6]
+                    ))
+                kept.append(record)
+        days.append(DayBucket(bucket.date, tuple(kept)))
+    if dropped:
+        logger.warning("dropped %d tweets whose text cleaned to empty", dropped)
+    return tuple(days)
+
+
 @dataclass(frozen=True)
 class CleanTweet:
-    """A tweet paired with its normalized text."""
+    """A tweet paired with its normalized text, the record of the staged path."""
 
     original: TweetRecord
     clean_text: str
 
 
 def clean_buckets(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
-    """Clean every tweet of each day; drops tweets whose text cleans to empty."""
+    """Clean every tweet of each day; drops tweets whose text cleans to empty.
+
+    The first stage of the staged path, which no CLI command calls; it stays
+    for the reference tests and for perfbench's tracer, which wraps
+    ``clean_buckets`` and :func:`dedup` by name.
+    """
     cleaned = []
     dropped = 0
     for bucket in buckets:
@@ -109,7 +153,8 @@ def dedup(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
     """Remove same-day exact duplicates of ``clean_text``.
 
     Within each day the first occurrence (by timestamp, then id) survives;
-    duplicates on later days are distinct observations and are kept.
+    duplicates on later days are distinct observations and are kept. No CLI
+    command calls it (see :func:`clean_buckets`).
     """
     out = []
     for bucket in buckets:
@@ -126,5 +171,9 @@ def dedup(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
 
 
 def clean_and_dedup(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
-    """Bucket-wise clean + per-day dedup, the canonical normalization stage."""
+    """Bucket-wise clean + per-day dedup, as ``CleanTweet`` objects.
+
+    No CLI command calls it. It keeps the tweets :func:`clean_days` keeps,
+    and the tests check ``clean_days`` against it.
+    """
     return dedup(clean_buckets(buckets))

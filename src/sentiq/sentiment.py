@@ -135,7 +135,10 @@ def day_signal(
     already seen that day (the first one wins) and scored. The staged
     :func:`~sentiq.attributes.build_dataset`,
     :func:`~sentiq.preprocess.clean_and_dedup` and :func:`daily_signals`
-    give the same signal; ``split`` and ``preprocess`` use those stages.
+    give the same signal; no command runs that chain.
+    :func:`~sentiq.preprocess.clean_days`, which ``preprocess`` and
+    ``split`` write, cleans and dedups as this loop does, over all of a
+    day's records; the loop stays its own and scores each text as it goes.
     """
     if attribute is not None:
         bucket = rank_and_halve(bucket, attribute)

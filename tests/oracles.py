@@ -16,6 +16,11 @@ by their bytes or their draw order, not by a formula:
   on every row it did not accept at once, before ``load_tweets`` passed
   such a row to ``TweetRecord(...)`` as its own conversions left it: each
   integer field on its own, then ``TweetRecord(...)`` for every check;
+* ``o_cleaned_rows`` is the staged chain ``preprocess`` and ``split`` once
+  ran, ``sentiq.preprocess.clean_and_dedup`` and then each kept
+  ``CleanTweet`` back to a record (its raw record when the text is
+  unchanged, ``_replace`` of the text otherwise), the reference for
+  ``clean_days``;
 * a training run by its draws and updates, so ``o_select_action`` and
   ``o_q_update`` are the scalar epsilon-greedy choice and bootstrap update
   ``sentiq.qlearn`` once trained with, one numpy draw per call and greedy
@@ -48,8 +53,9 @@ from typing import Sequence
 
 import numpy as np
 
-from sentiq.corpus import _DAY_S, PriceSeries, TweetRecord, _day_start
+from sentiq.corpus import _DAY_S, DayBucket, PriceSeries, TweetRecord, _day_start
 from sentiq.errors import CorpusError
+from sentiq.preprocess import clean_and_dedup
 from sentiq.qlearn import (
     _MAGIC,
     _VERSION,
@@ -325,6 +331,21 @@ def o_build_record(fields: Sequence) -> TweetRecord:
             except ValueError:
                 pass
     return TweetRecord(*fields)
+
+
+# ---------------------------------------------------------------------------
+# Each day cleaned and deduplicated through the staged chain.
+
+def o_cleaned_rows(buckets) -> tuple[DayBucket, ...]:
+    """Each day cleaned and deduplicated, as records; unchanged tweets keep their raw record."""
+    days = []
+    for bucket in clean_and_dedup(buckets):
+        rows = []
+        for t in bucket.tweets:
+            o = t.original
+            rows.append(o if t.clean_text == o.text else o._replace(text=t.clean_text))
+        days.append(DayBucket(bucket.date, tuple(rows)))
+    return tuple(days)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,24 @@ import argparse
 import csv
 import io
 import json
+import logging
 
 import pytest
 
 from helpers import attribute_signal_series, run_cli
-from sentiq import qlearn
-from sentiq.attributes import Attribute
+from oracles import o_cleaned_rows
+from sentiq import qlearn, synth
+from sentiq.attributes import Attribute, build_dataset
 from sentiq.cli import SETTINGS, build_parser, main
-from sentiq.corpus import TWEET_FIELDS, bucket_by_day, load_prices, load_tweets
+from sentiq.corpus import (
+    TWEET_FIELDS,
+    TWEET_FORMATS,
+    bucket_by_day,
+    load_prices,
+    load_tweets,
+    write_prices,
+    write_tweets,
+)
 from sentiq.preprocess import clean, clean_and_dedup
 from sentiq.qlearn import AgentConfig, QModel, load_model, save_model
 from sentiq.sentiment import builtin_lexicon
@@ -450,6 +460,65 @@ def test_preprocess_and_split_without_prices_use_each_tweets_own_day(tmp_path):
     assert [(r.id, r.text) for r in split] == [("a", "buy btc now"), ("f", "moon soon!!!")]
     meta = json.loads((tmp_path / "split.csv.meta.json").read_text(encoding="utf-8"))
     assert (meta["days"], meta["tweets"]) == (2, 2)
+
+
+@pytest.fixture(scope="module")
+def noisy_corpus(tmp_path_factory):
+    """A synthetic corpus with removable noise, same-day copies and texts that clean to empty.
+
+    Every third text gets a retweet marker, a mention, upper case and a URL.
+    Every fourth tweet gets a same-day copy with other noise at the same
+    timestamp, whose id sorts before the original's half of the time, and
+    every fifth a row of only a mention and dots. Written as CSV and JSONL.
+    """
+    root = tmp_path_factory.mktemp("noisy")
+    tweets, series = synth.gen_corpus(synth.SynthConfig(days=6, tweets_per_day=10, seed=5))
+    rows = []
+    for i, r in enumerate(tweets):
+        rows.append(r._replace(text="RT @whale " + r.text.upper() + " http://t.co/x")
+                    if i % 3 == 0 else r)
+        if i % 4 == 0:
+            copy_id = ("0" if i % 8 == 0 else "c") + r.id
+            rows.append(r._replace(id=copy_id, text="#" + r.text.replace(" ", "  ") + " ...."))
+        if i % 5 == 0:
+            rows.append(r._replace(id="e" + r.id, text="@nobody ...."))
+    paths = {"prices": root / "prices.csv"}
+    write_prices(series, paths["prices"])
+    for fmt in TWEET_FORMATS:
+        paths[fmt] = root / f"tweets.{fmt}"
+        write_tweets(rows, paths[fmt], format=fmt)
+    return paths
+
+
+@pytest.mark.parametrize("fmt", TWEET_FORMATS)
+@pytest.mark.parametrize("stage", ["preprocess", "split"])
+def test_preprocess_and_split_write_the_staged_chains_bytes(
+    noisy_corpus, tmp_path, caplog, stage, fmt
+):
+    tweets, prices = noisy_corpus[fmt], noisy_corpus["prices"]
+    extra = ["--attribute", "followers"] if stage == "split" else []
+    code, _, err = run_cli(
+        [stage, "--tweets", tweets, "--prices", prices, "--format", fmt, *extra, "--out", "got"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+
+    series = load_prices(prices)
+    loaded = load_tweets(tweets, format=fmt, window=series.window())
+    with caplog.at_level(logging.WARNING, logger="sentiq.preprocess"):
+        days = o_cleaned_rows(bucket_by_day(loaded.records, series))
+    # One of each tweet and its copy is left, and most texts changed.
+    cleaned = [r for b in days for r in b.tweets]
+    assert len(cleaned) == 60 and sum(r not in loaded.records for r in cleaned) > 20
+    if stage == "split":
+        days = build_dataset(days, Attribute.FOLLOWERS).buckets
+    write_tweets([r for b in days for r in b.tweets], tmp_path / "want", format=fmt)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "sentiq.preprocess"]
+    assert message == "dropped 12 tweets whose text cleaned to empty"
+    assert [line for line in err.splitlines() if "sentiq.preprocess" in line] == [
+        f"WARNING sentiq.preprocess: {message}"
+    ]
 
 
 def test_sentiment_writes_daily_signal_csv(cli_corpus):

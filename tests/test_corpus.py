@@ -74,6 +74,15 @@ def test_a_price_too_large_for_cents_names_the_limit(tmp_path):
             load_prices(path)
 
 
+def test_round_price_keeps_an_infinite_cent_count_off_the_float_path():
+    # 1e307 * 100 is inf: the 2**50 test, not the tie margin, keeps it from
+    # math.floor, which would raise OverflowError.
+    assert 1e307 * 100.0 == math.inf
+    with pytest.raises(CorpusError) as info:
+        round_price(1e307)
+    assert str(info.value) == "too large to round to cents in 28 digits: 1e+307"
+
+
 def test_round_price_ignores_the_callers_decimal_context():
     # Each case gives what the default context gives, on the float fast path
     # where it applies and on the Decimal path for strings and half-cent ties.

@@ -1,17 +1,19 @@
+import datetime as dt
 import logging
 import re
 
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
-from oracles import o_clean
+from oracles import o_clean, o_cleaned_rows
 from sentiq.corpus import DayBucket, load_tweets
 from sentiq.preprocess import (
     CleanTweet,
     clean,
     clean_and_dedup,
     clean_buckets,
+    clean_days,
     dedup,
 )
 
@@ -290,3 +292,85 @@ def test_clean_and_dedup_composes():
     buckets = (bucket_of(["Buy  BTC", "buy btc", "....", "other"]),)
     out = clean_and_dedup(buckets)
     assert [t.clean_text for t in out[0].tweets] == ["buy btc", "other"]
+
+
+# ---------------------------------------------------------------------------
+# clean_days: one pass, the staged chain's records
+
+# Acceptance 04's fragments and glue.
+FRAGMENTS = (
+    "hello", "WORLD", "BUY", "btc", "Rt", "RT", "rt",
+    "@someone", "@BigWhale42", "@@",
+    "#btc", "#ToTheMoon", "##tag",
+    "http://x.co/a1", "https://Example.COM/page?q=1", "www.chart.io/x",
+    "wwww.typo.com", "awww.sleepy",
+    "soooo", "mooooon", "!!!!", "....", "..", "...",
+    "🚀🚀🚀🚀🚀", "cool.", "a@b.com", "e:mail", "50%", "$1,000",
+    "\tindent", "line\nbreak", "  ", "", "ñandú", "ÅNGSTRÖM",
+)
+GLUE = (" ", " ", " ", "", "  ", "..", ". ")
+# Removable noise: a copy of a text that cleans to what the text does.
+NOISE = (
+    lambda t: "RT " + t,
+    lambda t: "@whale " + t,
+    lambda t: t.upper(),
+    lambda t: t + " http://t.co/x",
+    lambda t: "\t" + t.replace(" ", "  ") + "\n",
+    lambda t: t + " ....",
+)
+CLEANS_TO_EMPTY = ("....", "@someone", "RT", "rt @BigWhale42 ..", "http://x.co/a1", "#", "@@ ....")
+
+base_texts = st.lists(
+    st.tuples(st.sampled_from(FRAGMENTS), st.sampled_from(GLUE)), min_size=1, max_size=6
+).map(lambda parts: "".join(f + g for f, g in parts))
+
+
+@st.composite
+def raw_days(draw):
+    """Day buckets with noisy same-day copies, empties, tied timestamps and shuffled rows."""
+    # One pool of texts, so that a text also repeats on other days; some are
+    # already clean, so their records come back unchanged.
+    clean_texts = base_texts.map(o_clean).filter(bool)
+    pool = draw(st.lists(st.one_of(base_texts, clean_texts), min_size=1, max_size=6))
+    days = []
+    for day in range(draw(st.integers(0, 3))):
+        texts = draw(st.lists(st.sampled_from(pool), max_size=8))
+        texts += [draw(st.sampled_from(NOISE))(t) for t in texts if draw(st.booleans())]
+        texts += draw(st.lists(st.sampled_from(CLEANS_TO_EMPTY), max_size=2))
+        texts = [t if t.strip() else "...." for t in texts]  # a record's text is never blank
+        # Few distinct timestamps, so ties fall to the id.
+        stamps = draw(st.lists(st.integers(0, 3), min_size=len(texts), max_size=len(texts)))
+        ids = draw(st.permutations(range(len(texts))))
+        start = T0 + day * 86_400
+        records = [
+            make_tweet(f"t{i:02d}", start + stamp, text, followers=i)
+            for i, stamp, text in zip(ids, stamps, texts)
+        ]
+        days.append(DayBucket(D0 + dt.timedelta(days=day), tuple(draw(st.permutations(records)))))
+    return tuple(days)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(raw_days())
+def test_clean_days_matches_the_staged_chain(caplog, buckets):
+    want = o_cleaned_rows(buckets)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="sentiq.preprocess"):
+        got = clean_days(buckets)
+    assert got == want
+    inputs = {id(r) for b in buckets for r in b.tweets}
+    for got_day, want_day in zip(got, want, strict=True):
+        assert got_day.date == want_day.date
+        for g, w in zip(got_day.tweets, want_day.tweets, strict=True):
+            assert type(g) is type(w)
+            assert [type(v) for v in g] == [type(v) for v in w]
+            # An unchanged record is the raw object; a changed one a new record.
+            assert (g is w) == (id(w) in inputs)
+            assert (id(g) in inputs) == (id(w) in inputs)
+    empties = sum(not o_clean(r.text) for b in buckets for r in b.tweets)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == (
+        [("sentiq.preprocess", logging.WARNING,
+          f"dropped {empties} tweets whose text cleaned to empty")] if empties else []
+    )
