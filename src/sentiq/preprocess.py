@@ -11,10 +11,12 @@
 7. collapse whitespace runs to single spaces
 8. trim
 
-The sequence is repeated until the text stops changing, so every returned
-string is a fixed point of the pipeline: removals can expose new noise (a
-mention hiding a leading ``rt``, a truncated run forming a ``www.`` token)
-and a single pass would leave it behind.
+Every returned string is a fixed point of the pipeline: removals can expose
+new noise (a mention hiding a leading ``rt``, a truncated run forming a
+``www.`` token) and a single pass would leave it behind. So the sequence is
+repeated while a pass changes the text and its output starts with ``rt`` or
+holds ``://`` or ``www.``; any other output of a pass is already a fixed
+point (see :func:`clean`).
 
 ``clean_days`` cleans each day's raw records and drops the texts that clean
 to empty and same-day duplicates in one pass; ``preprocess`` and ``split``
@@ -75,12 +77,27 @@ def _clean_pass(text: str) -> str:
 
 
 def clean(text: str) -> str:
-    """Normalize one tweet's text; total, never raises, idempotent."""
-    while True:
-        cleaned = _clean_pass(text)
-        if cleaned == text:
-            return cleaned
-        text = cleaned
+    """Normalize one tweet's text; total, never raises, idempotent.
+
+    Passes run until one returns its input, or returns text that neither
+    starts with ``rt`` nor holds ``://`` or ``www.``: such a text is already
+    a fixed point. A pass removes every ``@``, ``#``, dot run and run of four
+    of one character, and none of its later steps can make one again; it
+    leaves single spaces and no space at either end; and its text is
+    lowercase, where ``str.lower`` changes nothing (``c.lower().lower() ==
+    c.lower()`` for every code point). So another pass can only find a
+    leading ``rt`` marker (exposed once a mention or URL before it is gone),
+    a URL (``://`` formed once a ``#`` is gone) or a ``www.`` token (exposed
+    by a dot run or a truncated run), and each of those needs one of the
+    three substrings. The test is conservative: it may start a pass that
+    changes nothing, but it never skips one that would change something.
+    """
+    cleaned = _clean_pass(text)
+    while cleaned != text and (
+        cleaned.startswith("rt") or "://" in cleaned or "www." in cleaned
+    ):
+        text, cleaned = cleaned, _clean_pass(cleaned)
+    return cleaned
 
 
 def clean_days(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:

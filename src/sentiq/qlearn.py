@@ -282,10 +282,10 @@ def _explore_draws(
     threshold = (2**32 - n_actions) % n_actions
     # A word's double, (u >> 11) * 2**-53, is below epsilon exactly when u is below cut.
     cut = math.ceil(epsilon * 2**53) << 11
-    words, w = [], 0
+    words, w, n_words = [], 0, 0
     for t in range(steps):
-        if w == len(words):  # this step's double and each later one need a word
-            words, w = bit_generator.random_raw(steps - t).tolist(), 0
+        if w == n_words:  # this step's double and each later one need a word
+            words, w, n_words = bit_generator.random_raw(steps - t).tolist(), 0, steps - t
         u = words[w]
         w += 1
         if u >= cut:
@@ -294,8 +294,8 @@ def _explore_draws(
             if has_half:
                 x, has_half = half, 0
             else:
-                if w == len(words):  # this draw and each later double need a word
-                    words, w = bit_generator.random_raw(steps - t).tolist(), 0
+                if w == n_words:  # this draw and each later double need a word
+                    words, w, n_words = bit_generator.random_raw(steps - t).tolist(), 0, steps - t
                 u = words[w]
                 w += 1
                 x, half, has_half = u & 0xFFFFFFFF, u >> 32, 1

@@ -2,11 +2,14 @@ import datetime as dt
 import logging
 import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet
 from oracles import o_clean, o_cleaned_rows
+from unicode_lower import lower_not_idempotent
+from sentiq import preprocess
 from sentiq.corpus import DayBucket, load_tweets
 from sentiq.preprocess import (
     CleanTweet,
@@ -197,6 +200,70 @@ def test_clean_matches_unguarded_reference_on_random_text(text):
 def test_clean_matches_unguarded_reference_on_noisy_fragments(fragments):
     text = "".join(fragments)
     assert clean(text) == o_clean(text)
+
+
+def has_trigger(text: str) -> bool:
+    return text.startswith("rt") or "://" in text or "www." in text
+
+
+def clean_counting_passes(text: str) -> tuple[str, list[tuple[str, str]]]:
+    """``clean(text)`` and each ``_clean_pass`` call it made, as (input, output)."""
+    real = preprocess._clean_pass
+    calls = []
+
+    def counted(t):
+        out = real(t)
+        calls.append((t, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_clean_pass", counted)
+        return clean(text), calls
+
+
+def assert_clean_stops_at_the_first_settled_pass(text: str) -> None:
+    cleaned, calls = clean_counting_passes(text)
+    assert cleaned == o_clean(text)
+    assert calls[0][0] == text and calls[-1][1] == cleaned
+    assert all(out == nxt for (_, out), (nxt, _) in zip(calls, calls[1:]))
+    # A pass that returns its input, or text with none of the triggers, is the
+    # last; so when the first pass does either, it is the only one.
+    for t, out in calls[:-1]:
+        assert out != t and has_trigger(out)
+
+
+# One example per trigger, each of which takes a second pass: a leading "rt"
+# left after a mention, "://" formed once "#" is gone, and a "www." token
+# exposed by run truncation or by a dot run. Then one pass: a text the pass
+# leaves alone, a changed text with no trigger, and triggers in a text the
+# pass leaves alone.
+@settings(max_examples=300, deadline=None)
+@given(noise_text)
+@example("@RTfan rt hello")
+@example("http#://x.co y")
+@example("wwww.x.com gone?")
+@example("x..www.y z")
+@example("buy btc hodl")
+@example("RT @john BUY  #btc")
+@example("rtx ftp://a awww.b")
+def test_clean_pass_count_on_random_text(text):
+    assert_clean_stops_at_the_first_settled_pass(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_fragments)
+def test_clean_pass_count_on_noisy_fragments(fragments):
+    assert_clean_stops_at_the_first_settled_pass("".join(fragments))
+
+
+def test_clean_relies_on_lower_being_idempotent_on_every_code_point():
+    # A pass's output is lowercase; clean skips the confirming pass only if
+    # lowering it again changes nothing.
+    assert lower_not_idempotent() == []
+    # str.lower's one context rule, final sigma, maps only a capital sigma,
+    # which lowercase text no longer holds.
+    text = "ΑΣ ΣΑΣ. İ"
+    assert text.lower().lower() == text.lower()
 
 
 # ---------------------------------------------------------------------------
