@@ -7,11 +7,11 @@ dataset), ``sentiment`` (daily signal series), ``train`` / ``predict``
 filtered benchmark: each pipeline gets ``--seconds`` of wall clock, and with
 ``--target-vaf`` it stops early once its held-out accuracy reaches that).
 
-``sentiment``, ``train`` and ``predict`` load and bucket the raw tweets,
-keep each day's top half by the attribute, and only then clean, dedup and
-score the kept tweets, as ``compare`` does. ``preprocess`` writes each day
-cleaned and deduplicated in one pass (:func:`~sentiq.preprocess.clean_days`),
-and ``split`` ranks those cleaned rows and writes each day's top half.
+Every command cleans a day by one rule, :func:`~sentiq.preprocess.clean_day`.
+``sentiment``, ``train`` and ``predict`` keep each day's raw top half by the
+attribute and only then clean, dedup and score it, as ``compare`` does.
+``preprocess`` writes every day cleaned (:func:`~sentiq.preprocess.clean_days`)
+and ``split`` writes each day's top half of those cleaned rows.
 
 Every setting is looked up in three layers, once per run: explicit flags,
 then a ``--config`` file of flat ``key = value`` lines, then the defaults

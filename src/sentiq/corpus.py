@@ -77,9 +77,8 @@ _CENTS_CONTEXT = Context(
 _CENT = Decimal("0.01")
 # round_price's float fast path: taken for a value whose cents c lie below
 # _FAST_CENTS and whose fraction lies more than c * _TIE_MARGIN from one half.
-# The margin alone ends the path near 5e13 cents. The _FAST_CENTS test decides
-# only for an infinite c (a value from about 1.8e306 up), which math.floor
-# cannot take; in round_prices_fast such a c fails the margin, so it never does.
+# The margin alone ends the path near 5e13 cents; the _FAST_CENTS test keeps
+# an infinite c (a value from about 1.8e306 up) from math.floor.
 _FAST_CENTS = 2.0**50
 _TIE_MARGIN = 1e-14
 
@@ -131,14 +130,14 @@ def round_prices_fast(values: np.ndarray) -> np.ndarray:
     returns for it, computed with the same float operations; every other
     element (a value near a half-cent tie, at or below zero, from about
     ``5e13`` cents up, or not finite) is NaN, left for :func:`round_price`.
-    The tie margin refuses all of those large values, an infinite ``c`` too
-    (its fraction is NaN), so here the ``2**50`` test never decides.
+    The tie margin refuses the large values, an infinite ``c`` too (its
+    fraction is NaN), so :func:`round_price`'s ``2**50`` test is not needed.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         c = values * 100.0
         whole = np.floor(c)
         frac = c - whole
-        fast = (values > 0.0) & (c < _FAST_CENTS) & (np.abs(frac - 0.5) > c * _TIE_MARGIN)
+        fast = (values > 0.0) & (np.abs(frac - 0.5) > c * _TIE_MARGIN)
         return np.where(fast, (whole + (frac > 0.5)) / 100, np.nan)
 
 
@@ -261,9 +260,9 @@ class DayBucket:
     """The tweets of one UTC calendar day.
 
     ``tweets`` holds raw :class:`TweetRecord` objects in (timestamp, id)
-    order after :func:`bucket_by_day`, the input of the signal stage
-    :func:`sentiq.sentiment.day_signal` and of
-    :func:`sentiq.preprocess.clean_days`, whose records keep that order.
+    order after :func:`bucket_by_day`, the input of :func:`sentiq.sentiment.day_signal`
+    and :func:`sentiq.preprocess.clean_days`; both clean by the one per-day rule,
+    :func:`sentiq.preprocess.clean_day`, whose records keep that order.
     After attribute filtering (``split``) it holds records in rank order
     (attribute descending, then timestamp, then id), and after the staged
     :func:`sentiq.preprocess.clean_buckets`, which no command calls,

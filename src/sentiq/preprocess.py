@@ -18,9 +18,9 @@ repeated while a pass changes the text and its output starts with ``rt`` or
 holds ``://`` or ``www.``; any other output of a pass is already a fixed
 point (see :func:`clean`).
 
-``clean_days`` cleans each day's raw records and drops the texts that clean
-to empty and same-day duplicates in one pass; ``preprocess`` and ``split``
-write its output.
+``clean_day`` is the one per-day rule: it cleans a day's raw records and drops
+empty texts and same-day duplicates. ``sentiment.day_signal`` scores what it
+keeps, and ``clean_days`` (``preprocess`` and ``split``) runs it on each day.
 """
 
 from __future__ import annotations
@@ -100,36 +100,43 @@ def clean(text: str) -> str:
     return cleaned
 
 
-def clean_days(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
-    """Each day's raw records cleaned and deduplicated in one pass, as records.
+def clean_day(records: tuple[TweetRecord, ...]) -> tuple[list[TweetRecord], int]:
+    """One day's raw records cleaned and deduplicated, and how many cleaned to empty.
 
-    A day's records are taken in (timestamp, id) order and each text is
-    cleaned; a record whose text cleans to empty, or to a text an earlier
-    record of that day already had, is dropped (the first one wins), while
-    duplicates on later days are kept. An unchanged record comes back as the
-    same object and a changed one as a copy with the cleaned text. This is
-    what ``preprocess`` writes and ``split`` ranks; one warning gives the
-    number of empty texts over all days.
+    The records are taken in (timestamp, id) order and each text is cleaned;
+    a text that cleans to empty, or to one an earlier record had, is dropped
+    (the first one wins). An unchanged record comes back as the same object,
+    a changed one as a copy with the cleaned text.
     """
     new = tuple.__new__
+    seen: set[str] = set()
+    kept = []
+    empty = 0
+    for record in sorted(records, key=_by_time_then_id):
+        raw = record[2]
+        text = clean(raw)
+        if not text:
+            empty += 1
+        elif text not in seen:
+            seen.add(text)
+            if text != raw:  # the other fields passed TweetRecord's checks already
+                record = new(TweetRecord, (record[0], record[1], text, *record[3:]))
+            kept.append(record)
+    return kept, empty
+
+
+def clean_days(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
+    """:func:`clean_day` on each day, as buckets; duplicates on later days are kept.
+
+    This is what ``preprocess`` writes and ``split`` ranks; one warning gives
+    the number of empty texts over all days.
+    """
     days = []
     dropped = 0
     for bucket in buckets:
-        seen: set[str] = set()
-        kept = []
-        for record in sorted(bucket.tweets, key=_by_time_then_id):
-            raw = record[2]
-            text = clean(raw)
-            if not text:
-                dropped += 1
-            elif text not in seen:
-                seen.add(text)
-                if text != raw:  # the other fields passed TweetRecord's checks already
-                    record = new(TweetRecord, (
-                        record[0], record[1], text, record[3], record[4], record[5], record[6]
-                    ))
-                kept.append(record)
+        kept, empty = clean_day(bucket.tweets)
         days.append(DayBucket(bucket.date, tuple(kept)))
+        dropped += empty
     if dropped:
         logger.warning("dropped %d tweets whose text cleaned to empty", dropped)
     return tuple(days)
@@ -190,7 +197,7 @@ def dedup(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
 def clean_and_dedup(buckets: tuple[DayBucket, ...]) -> tuple[DayBucket, ...]:
     """Bucket-wise clean + per-day dedup, as ``CleanTweet`` objects.
 
-    No CLI command calls it. It keeps the tweets :func:`clean_days` keeps,
-    and the tests check ``clean_days`` against it.
+    No CLI command calls it. It keeps the tweets :func:`clean_day` keeps,
+    and the tests check ``clean_days`` and ``day_signal`` against it.
     """
     return dedup(clean_buckets(buckets))

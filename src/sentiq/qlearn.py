@@ -15,6 +15,9 @@ realized price ``AP_t`` under one of three shapes:
   is the day's actual relative change — i.e. the error a naive carry-forward
   of yesterday's prediction would have made. Predictions worse than that
   baseline score negative, so the scale adapts to how volatile the day was.
+  Equivalently ``l = AP_t * |PP_{t-1} / AP_{t-1} - 1|`` and, off a degenerate day, ``cdr =
+  100 * (1 - |PP_t - AP_t| / l)``. Day ``t``'s reward depends on day ``t-1``'s
+  action, which the state does not hold, so ``cdr`` is not Markov in the state.
 
 Updates use the one-step bootstrap
 ``Q += theta * (r + gamma * max_a' Q(s', a') - Q)``; exploration is
@@ -192,14 +195,6 @@ class ZeroRewardGeometry:
     tol: float
 
 
-def _geometry(
-    ap: float, ap_prev: float, pp_prev: float, tol: float
-) -> tuple[float, float, float, float, bool]:
-    alpha = (ap - ap_prev) / ap_prev
-    l = abs(ap - pp_prev * (1.0 + alpha))
-    return alpha, l, ap - l, ap + l, l < tol
-
-
 def zero_reward_points(ap: float, ap_prev: float, pp_prev: float) -> ZeroRewardGeometry:
     """Zero-score prediction values for a day, from the carry-forward baseline."""
     if not ap_prev > 0:
@@ -207,7 +202,9 @@ def zero_reward_points(ap: float, ap_prev: float, pp_prev: float) -> ZeroRewardG
     if not ap > 0:
         raise QLearnError(f"actual price must be positive, got {ap}")
     tol = 1e-9 * ap
-    return ZeroRewardGeometry(*_geometry(ap, ap_prev, pp_prev, tol), tol=tol)
+    alpha = (ap - ap_prev) / ap_prev
+    l = abs(ap - pp_prev * (1.0 + alpha))
+    return ZeroRewardGeometry(alpha, l, ap - l, ap + l, l < tol, tol)
 
 
 def _cdr(ap: float, pp: float, zr1: float, zr2: float, degenerate: bool, tol: float) -> float:
@@ -223,6 +220,9 @@ def _cdr(ap: float, pp: float, zr1: float, zr2: float, degenerate: bool, tol: fl
 def reward_cdr(geometry: ZeroRewardGeometry, ap: float, pp: float) -> float:
     """Normalized reward: 100 at ``pp == ap``, 0 at the zero-reward points.
 
+    Off a degenerate day this is ``100 * (1 - |pp - ap| / l)``, with ``l = ap *
+    |pp_prev / ap_prev - 1|`` from the previous day's prediction and price, so
+    it depends on the previous action and is not Markov in the agent's state.
     Degenerate geometry scores 100 for an (effectively) exact prediction and
     falls back to the relative shape otherwise.
     """
@@ -442,7 +442,7 @@ class _Learner:
         self.top = [row.item(i) for row, i in zip(self.q_rows, self.best)]
         # predicted[t][i] is day t + 1's prediction from day t's price by action index i.
         self.predicted = list(_price_grid(prices[:-1], self.action_min, self.n_actions))
-        # Day t's 1 + alpha and tolerance, as _geometry and zero_reward_points compute them.
+        # Day t's 1 + alpha and tolerance, as zero_reward_points computes them.
         self.scale = [math.nan] + [1.0 + (ap - prev) / prev for prev, ap in pairwise(prices)]
         self.tol = [1e-9 * ap for ap in prices]
 
@@ -476,7 +476,7 @@ class _Learner:
             elif kind == RDR:
                 r = _rdr(ap, pp)
             else:
-                # _geometry and _cdr, inline; only a degenerate day calls _cdr.
+                # zero_reward_points' l and _cdr, inline; only a degenerate day calls _cdr.
                 l = abs(ap - pp_prev * scale[t])
                 if l < tols[t]:
                     r = _cdr(ap, pp, ap - l, ap + l, True, tols[t])

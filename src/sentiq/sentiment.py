@@ -21,9 +21,9 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .attributes import Attribute, rank_and_halve
-from .corpus import DayBucket, _by_time_then_id
+from .corpus import DayBucket
 from .errors import LexiconError
-from .preprocess import clean
+from .preprocess import clean_day
 
 EMPHASIS_FACTOR = 1.292
 _MAX_EMPHASIS = 3
@@ -130,25 +130,18 @@ def day_signal(
 
     This is the pipeline's signal stage: the CLI, :func:`sentiq.bench.compare`
     and the demos run it over :func:`~sentiq.corpus.bucket_by_day`. The day's
-    top half by ``attribute`` (all of it for ``None``) is taken in
-    (timestamp, id) order, and each text is cleaned, dropped when empty or
-    already seen that day (the first one wins) and scored. The staged
+    top half by ``attribute`` (all of it for ``None``) goes through
+    :func:`~sentiq.preprocess.clean_day`, the one per-day cleaning rule, and
+    each kept text is scored in (timestamp, id) order. The staged
     :func:`~sentiq.attributes.build_dataset`,
     :func:`~sentiq.preprocess.clean_and_dedup` and :func:`daily_signals`
     give the same signal; no command runs that chain.
-    :func:`~sentiq.preprocess.clean_days`, which ``preprocess`` and
-    ``split`` write, cleans and dedups as this loop does, over all of a
-    day's records; the loop stays its own and scores each text as it goes.
     """
     if attribute is not None:
         bucket = rank_and_halve(bucket, attribute)
-    seen: set[str] = set()
+    kept, _ = clean_day(bucket.tweets)
     total = 0.0
-    for record in sorted(bucket.tweets, key=_by_time_then_id):
-        text = clean(record.text)
-        if not text or text in seen:
-            continue
-        seen.add(text)
-        total += score(text, lexicon)
-    n = len(seen)
+    for record in kept:
+        total += score(record.text, lexicon)
+    n = len(kept)
     return DailySignal(bucket.date, total / n if n else 0.0, n), len(bucket.tweets)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import D0, T0, make_tweet
+from helpers import D0, FRAGMENTS, T0, make_tweet, raw_days
 from oracles import o_score
 from sentiq.attributes import Attribute, build_dataset
 from sentiq.corpus import DayBucket, bucket_by_day
@@ -328,3 +328,19 @@ def test_day_signal_matches_the_staged_pipeline(attribute, lexicon):
         assert [n for _, n in one_pass] == [len(b.tweets) for b in kept]
         # The plants reach the kept half and are dropped there.
         assert sum(s.tweet_count for s in staged) < sum(len(b.tweets) for b in kept)
+
+
+# Lexicon words with one to four trailing bangs (four clean to three), some
+# in upper case, so emphasis reaches the score through cleaning.
+EMPHASIS = ("moon!", "DUMP!!", "rally!!!", "Fear!!!!", "up", "dip!", "BULLISH!!")
+
+
+@pytest.mark.parametrize("attribute", [None, *Attribute])
+@settings(max_examples=100, deadline=None)
+@given(buckets=raw_days(FRAGMENTS + EMPHASIS))
+def test_day_signal_matches_the_staged_pipeline_on_noisy_days(attribute, lexicon, buckets):
+    kept = build_dataset(buckets, attribute).buckets
+    staged = daily_signals(clean_and_dedup(kept), lexicon)
+    one_pass = [day_signal(bucket, attribute, lexicon) for bucket in buckets]
+    assert [signal for signal, _ in one_pass] == list(staged)
+    assert [n for _, n in one_pass] == [len(b.tweets) for b in kept]
