@@ -162,6 +162,10 @@ def _write_json(path: str | Path, payload: dict) -> None:
 
 
 def cmd_synth(args: argparse.Namespace, opts: ChainMap) -> int:
+    if Path(args.out_tweets).resolve() == Path(args.out_prices).resolve():
+        raise ConfigError(
+            f"--out-tweets and --out-prices name the same file: {args.out_prices}"
+        )
     tweets, series = synth.gen_corpus(_config(synth.SynthConfig, opts))
     n = corpus.write_tweets(tweets, args.out_tweets, format=opts["format"])
     m = corpus.write_prices(series, args.out_prices)

@@ -14,8 +14,11 @@ File formats:
   (half away from zero) on ingest. ``evaluate`` reads any finite prices, in
   any order and with gaps (:func:`load_dated_prices`).
 
-Every CSV file the package writes goes through :func:`write_csv`. A file that is
-not UTF-8 text stops the load with an error naming the file.
+Every CSV file the package writes has the bytes of :func:`write_csv`.
+:func:`write_tweets` formats tweet rows itself, a block at a time, and hands
+``csv.writer`` the rest of the file from the first block where an id or text
+holds a comma, a double quote, a CR, an LF or a NUL. A file that is not
+UTF-8 text stops the load with an error naming the file.
 Day bucketing uses UTC calendar days throughout.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import logging
 import math
@@ -63,6 +67,13 @@ _by_time_then_id = itemgetter(1, 0)  # (timestamp, id) of a TweetRecord
 _JSONL_LINE = "{%s}\n" % ", ".join(
     f'"{name}": %{"d" if name in _INT_FIELDS else "s"}' for name in TWEET_FIELDS
 )
+# One tweet CSV row as csv.writer's default dialect writes it when neither
+# the id nor the text holds one of _CSV_SPECIALS, which it quotes or refuses.
+_CSV_HEADER = (",".join(TWEET_FIELDS) + "\r\n").encode("ascii")
+_CSV_LINE = "%s,%d,%s,%d,%d,%d,%d\r\n"
+_CSV_SPECIALS = b',"\r\n\0'
+_CSV_LINE_SPECIALS = sum(map(_CSV_LINE.encode().count, _CSV_SPECIALS))  # 6 commas, CR, LF
+_CSV_BLOCK_ROWS = 2048
 _JSON_WS = " \t\n\r"
 # json.loads without its Python-level wrappers: scan_once(s, 0) -> (value, end).
 _scan_json = make_scanner(json.JSONDecoder())
@@ -437,7 +448,7 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
     path = Path(path)
     records = list(records)
     if format == "csv":
-        write_csv(path, TWEET_FIELDS, records)
+        _write_tweet_csv(records, path)
     elif format == "jsonl":
         quote = encode_basestring_ascii
         with path.open("w", encoding="utf-8") as handle:
@@ -448,6 +459,33 @@ def write_tweets(records: Iterable[TweetRecord], path: str | Path, format: str =
     else:
         raise CorpusError(f"unknown tweet format {format!r}, expected {_FORMAT_CHOICES}")
     return len(records)
+
+
+def _write_tweet_csv(records: Sequence[TweetRecord], path: Path) -> None:
+    """Write ``records`` with the bytes of :func:`write_csv`, one format string a row.
+
+    Rows go out a block at a time. From the first block that holds a row that
+    does not format or encode, or an id or text holding a comma, a double
+    quote, a CR, an LF or a NUL, ``csv.writer`` writes that block and the
+    rest on the same handle: it quotes the first four and, on Python 3.10,
+    refuses a NUL. Nothing written is taken back, so a pipe or a device gets
+    the same bytes as a file. UTF-8 puts no ASCII byte inside a multi-byte
+    character, so a block's count of those bytes finds them.
+    """
+    with path.open("wb") as handle:
+        handle.write(_CSV_HEADER)
+        for start in range(0, len(records), _CSV_BLOCK_ROWS):
+            block = records[start : start + _CSV_BLOCK_ROWS]
+            try:
+                body = "".join([_CSV_LINE % record for record in block]).encode("utf-8")
+                specials = len(body) - len(body.translate(None, _CSV_SPECIALS))
+            except ValueError:  # UnicodeEncodeError, or an int of too many digits
+                specials = -1
+            if specials != len(block) * _CSV_LINE_SPECIALS:
+                with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+                    csv.writer(text).writerows(records[start:])
+                return
+            handle.write(body)
 
 
 def load_prices(path: str | Path) -> PriceSeries:

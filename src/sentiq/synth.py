@@ -29,7 +29,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 
 import numpy as np
 
@@ -135,6 +135,20 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
     factor[days - 1] = eta[days - 1]
 
     mild_valences, mild_tokens, strong_pos, strong_neg = _token_tables()
+    mild = np.array(mild_tokens, dtype=object)
+    # Both noise pools, negative first: a positive pick is offset by len(strong_neg).
+    strong = np.array(strong_neg + strong_pos, dtype=object)
+    filler = np.array(_FILLER_VOCAB, dtype=object)
+    # Each tweet's draws are three runs, in order: a noise tweet's token picks
+    # (bound: its pool's size), the filler words (the vocabulary's size), then
+    # one insert position per sentiment token into the growing word list
+    # (n_words + 1, n_words + 2, ...). Row i holds tweet i's run lengths and
+    # first bounds; a signal tweet has no picks and one token.
+    runs = np.zeros((per_day, 3), dtype=np.int64)
+    runs[:top, 2] = 1
+    firsts = np.zeros((per_day, 3), dtype=np.int64)
+    firsts[:, 1] = len(filler)
+    kinds = np.tile(np.arange(3), per_day)  # 0 pick, 1 filler, 2 insert
     tweets: list[TweetRecord] = []
     for d in range(days):
         day_start = _day_start(_START) + d * _DAY_S
@@ -157,38 +171,39 @@ def gen_corpus(cfg: SynthConfig) -> tuple[tuple[TweetRecord, ...], PriceSeries]:
         retweets = rng.lognormal(3.0, 1.5, size=per_day).astype(np.int64)
         word_counts = rng.integers(2, 5, size=per_day)
 
-        # The day's per-tweet draws come from one call. Tweet by tweet, the
-        # bounds are a noise tweet's token picks, the filler words, then one
-        # insert position per sentiment token into the growing word list. An
-        # array of bounds is drawn element by element, so the stream is the
-        # one a scalar call per bound would give (tests/test_synth.py pins it).
-        pools = [strong_pos if sign else strong_neg for sign in noise_signs.tolist()]
-        n_tokens = [1] * top + noise_token_counts.tolist()
-        n_words = word_counts.tolist()
-        bounds: list[int] = []
-        for i in range(per_day):
-            if i >= top:
-                bounds += [len(pools[i - top])] * n_tokens[i]
-            bounds += [len(_FILLER_VOCAB)] * n_words[i]
-            bounds += range(n_words[i] + 1, n_words[i] + 1 + n_tokens[i])
-        draws = iter(rng.integers(0, bounds).tolist())
+        # The day's per-tweet draws come from one call. An array of bounds is
+        # drawn element by element, so the stream is the one a scalar call per
+        # bound would give (tests/test_synth.py pins it).
+        runs[top:, 0] = runs[top:, 2] = noise_token_counts
+        runs[:, 1] = word_counts
+        firsts[top:, 0] = np.where(noise_signs, len(strong_pos), len(strong_neg))
+        firsts[:, 2] = word_counts + 1
+        lengths = runs.ravel()
+        kind = kinds.repeat(lengths)
+        inserting = kind == 2
+        within = np.arange(len(kind)) - (lengths.cumsum() - lengths).repeat(lengths)
+        drawn = rng.integers(0, firsts.ravel().repeat(lengths) + inserting * within)
 
-        signal_tokens = signal_token_idx.tolist()
+        # Tokens and insert positions both run in tweet order, signal tweets first.
+        words = filler[drawn[kind == 1]].tolist()
+        picks = drawn[kind == 0] + (noise_signs * len(strong_neg)).repeat(noise_token_counts)
+        tokens = [*mild[signal_token_idx].tolist(), *strong[picks].tolist()]
+        inserts = list(zip(drawn[inserting].tolist(), tokens))
+        texts = []
+        w = t = 0
+        for n_words, n_tokens in zip(word_counts.tolist(), runs[:, 2].tolist()):
+            text = words[w : w + n_words]
+            for at, token in inserts[t : t + n_tokens]:
+                text.insert(at, token)
+            texts.append(" ".join(text))
+            w += n_words
+            t += n_tokens
+
+        # Non-empty id and text, Python ints, non-negative counts: all valid.
+        ids = map("%08d".__mod__, range(len(tweets), len(tweets) + per_day))
         rows = zip(
-            offsets.tolist(), followers.tolist(), comments.tolist(), likes.tolist(),
-            retweets.tolist(),
+            ids, (offsets + day_start).tolist(), texts, followers.tolist(), comments.tolist(),
+            likes.tolist(), retweets.tolist(),
         )
-        for i, (offset, *counts) in enumerate(rows):
-            if i < top:
-                sentiment_tokens = [mild_tokens[signal_tokens[i]]]
-            else:
-                pool = pools[i - top]
-                sentiment_tokens = [pool[p] for p in islice(draws, n_tokens[i])]
-            words = [_FILLER_VOCAB[w] for w in islice(draws, n_words[i])]
-            for token in sentiment_tokens:
-                words.insert(next(draws), token)
-            # Non-empty id and text, Python ints, non-negative counts: all valid.
-            tweets.append(TweetRecord._make((
-                f"{len(tweets):08d}", day_start + offset, " ".join(words), *counts,
-            )))
+        tweets += map(tuple.__new__, repeat(TweetRecord), rows)
     return tuple(tweets), series

@@ -273,6 +273,19 @@ def test_every_settings_flag_is_typed_from_settings():
 # synth
 
 
+@pytest.mark.parametrize("prices", ["x.csv", "./x.csv", "sub/../x.csv"])
+def test_synth_refuses_one_file_for_tweets_and_prices(tmp_path, prices):
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(
+        ["synth", "--days", 3, "--tweets-per-day", 2, "--out-tweets", "x.csv",
+         "--out-prices", prices],
+        cwd=tmp_path,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --out-tweets and --out-prices name the same file: {prices}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_synth_outputs_are_deterministic(tmp_path):
     args = ["synth", "--days", 8, "--tweets-per-day", 3, "--rho", 0.5, "--seed", 11]
     for sub in ("a", "b"):

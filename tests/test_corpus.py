@@ -6,15 +6,19 @@ import enum
 import json
 import logging
 import math
+import os
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_specials import GUARDED, guarded_code_points
 from helpers import D0, T0, make_series, make_tweet, ulps_from
 from oracles import o_build_record, o_jsonl_rows, o_round_price, o_utc_day
 from sentiq.corpus import (
+    _CSV_BLOCK_ROWS,
     _MAX_TIMESTAMP,
     _MIN_TIMESTAMP,
     TWEET_FIELDS,
@@ -894,3 +898,92 @@ def test_jsonl_writer_writes_the_bytes_of_json_dumps(tmp_path_factory, records):
     expected = "".join(json.dumps(dict(zip(TWEET_FIELDS, r))) + "\n" for r in records)
     assert path.read_bytes() == expected.encode("ascii")
     assert load_tweets(path, format="jsonl").records == tuple(records)
+
+
+# Weighted toward what csv.writer quotes or refuses, and a lone surrogate,
+# which no UTF-8 file can hold.
+_CSV_CHARS = st.sampled_from([",", '"', "\r", "\n", "\0", " ", "☃", "\ud800"]) | st.characters(
+    min_codepoint=0x21, max_codepoint=0x7E
+)
+_CSV_RECORD = st.builds(
+    TweetRecord,
+    st.text(_CSV_CHARS, min_size=1, max_size=6),
+    st.integers(_MIN_TIMESTAMP, _MAX_TIMESTAMP),
+    st.text(_CSV_CHARS, min_size=1, max_size=12).filter(lambda t: not t.isspace()),
+    *(st.integers(0, 10**15) for _ in range(4)),
+)
+
+
+def _bytes_or_error(path, write):
+    """The bytes ``write()`` leaves in ``path``, or the type of what it raised."""
+    try:
+        write()
+    except (csv.Error, ValueError) as exc:  # ValueError: UnicodeEncodeError
+        return type(exc)
+    return path.read_bytes()
+
+
+def _csv_writer_bytes_or_error(records, path):
+    """What the default csv.writer, header first, leaves in ``path`` for ``records``."""
+
+    def write():
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(TWEET_FIELDS)
+            writer.writerows(records)
+
+    return _bytes_or_error(path, write)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_CSV_RECORD, max_size=5, unique_by=lambda r: r.id))
+def test_tweet_csv_has_the_bytes_of_csv_writer(tmp_path_factory, records):
+    directory = tmp_path_factory.mktemp("write")
+    want = _csv_writer_bytes_or_error(records, directory / "want.csv")
+    path = directory / "t.csv"
+    assert _bytes_or_error(path, lambda: write_tweets(records, path, format="csv")) == want
+    if isinstance(want, bytes):
+        assert load_tweets(path).records == tuple(records)
+
+
+@pytest.mark.parametrize("text", ["a,b", 'say "hi"', "cr\rhere", "☃ \ud800"])
+def test_a_guarded_row_after_plain_blocks_gives_the_bytes_of_csv_writer(tmp_path, text):
+    # write_tweets has written two blocks of rows when it meets this one; the
+    # file must still come out as csv.writer writes it, or fail as it fails.
+    records = [make_tweet(f"t{i}", T0 + i, f"text {i}") for i in range(2 * _CSV_BLOCK_ROWS)]
+    records.append(make_tweet("last", T0, text))
+    want = _csv_writer_bytes_or_error(records, tmp_path / "want.csv")
+    path = tmp_path / "t.csv"
+    assert _bytes_or_error(path, lambda: write_tweets(records, path)) == want
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("at", [0, 2 * _CSV_BLOCK_ROWS])
+def test_a_pipe_gets_the_bytes_of_csv_writer_once(tmp_path, at):
+    # A pipe keeps every byte written to it, as `--out /dev/stdout` does, so
+    # write_tweets may write nothing it would later take back.
+    records = [make_tweet(f"t{i}", T0 + i, f"text {i}") for i in range(2 * _CSV_BLOCK_ROWS)]
+    records.insert(at, make_tweet("comma", T0, "a,b"))
+    want = _csv_writer_bytes_or_error(records, tmp_path / "want.csv")
+    read_end, write_end = os.pipe()
+    got = []
+
+    def drain():
+        with os.fdopen(read_end, "rb") as pipe:
+            got.append(pipe.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        write_tweets(records, f"/dev/fd/{write_end}")
+    finally:
+        os.close(write_end)
+        reader.join(10)
+    assert got == [want]
+
+
+def test_csv_writer_guards_only_the_characters_write_tweets_checks():
+    # write_tweets formats a row itself unless an id or text holds one of
+    # GUARDED; csv.writer must write a field of any other code point as it is.
+    assert {chr(cp) for cp in guarded_code_points()} <= GUARDED

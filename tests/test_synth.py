@@ -1,11 +1,12 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import signal_return_correlation
+from helpers import run_cli, signal_return_correlation
 from oracles import o_gen_corpus
 from sentiq.attributes import Attribute
 from sentiq.corpus import TweetRecord, round_price
@@ -93,6 +94,32 @@ def test_gen_corpus_equals_the_per_tweet_draw_oracle(days, tweets_per_day, rho, 
     assert tweets == o_tweets
     for record, o_record in zip(tweets, o_tweets):
         assert [type(v) for v in record] == [type(v) for v in o_record], (record, o_record)
+
+
+def test_gen_corpus_equals_the_oracle_on_full_size_days():
+    # The Hypothesis test above stops at 9 tweets a day; each of these days
+    # draws about 1,100 bounds, and the odd count makes the noise half smaller.
+    cfg = SynthConfig(days=6, tweets_per_day=201, rho=0.8, seed=12)
+    assert gen_corpus(cfg) == o_gen_corpus(cfg)
+
+
+def test_the_cli_writes_the_pinned_bytes_of_a_realistic_corpus(tmp_path):
+    # perfbench's race inputs; the digests were taken from the per-tweet
+    # bounds loop and csv.writer, and no output byte may move.
+    code, _, err = run_cli(
+        ["synth", "--days", 80, "--tweets-per-day", 200, "--rho", 0.8, "--seed", 0,
+         "--out-tweets", "tweets.csv", "--out-prices", "prices.csv"],
+        cwd=tmp_path,
+    )
+    assert code == 0, err
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("tweets.csv", "prices.csv")
+    }
+    assert digests == {
+        "tweets.csv": "1dd454d1e85004183d76ce2686f77396067fe1863c7d7e513ed16defe12aa604",
+        "prices.csv": "343e328f386857c3796944cd44ef78b45025026ee6896ae77e529fd54ec08d64",
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
