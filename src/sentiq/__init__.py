@@ -11,35 +11,49 @@ filtered pipeline against the everything-in baseline under a resource
 profiler (:mod:`.bench`, :mod:`.profiler`). :mod:`.synth` makes seeded
 corpora with a recoverable planted signal for experiments.
 
-The names below are the quickstart surface; everything else is imported
-from its own module (``from sentiq.corpus import load_tweets``).
+The names in ``__all__`` are the quickstart surface, each imported from its
+module on first use; everything else is imported from its own module
+(``from sentiq.corpus import load_tweets``).
 """
 
-from .attributes import Attribute
-from .bench import BenchConfig, chronological_split, compare
-from .corpus import bucket_by_day
-from .metrics import evaluate, vaf
-from .preprocess import clean
-from .qlearn import (
-    CDR,
-    RDR,
-    SDR,
-    AgentConfig,
-    predict_series,
-    reward_cdr,
-    reward_rdr,
-    reward_sdr,
-    train,
-    zero_reward_points,
-)
-from .sentiment import builtin_lexicon, day_signal
-from .synth import SynthConfig, gen_corpus
+from importlib import import_module as _import_module
 
-__all__ = [
-    "AgentConfig", "Attribute", "BenchConfig", "CDR", "RDR", "SDR", "SynthConfig",
-    "bucket_by_day", "builtin_lexicon", "chronological_split", "clean", "compare",
-    "day_signal", "evaluate", "gen_corpus", "predict_series", "reward_cdr", "reward_rdr",
-    "reward_sdr", "train", "vaf", "zero_reward_points",
-]
+# The quickstart names by the module that defines them. Each is imported on its
+# first use (PEP 562), so that ``import sentiq`` and the text commands never load numpy.
+_EXPORTS = {
+    "attributes": ("Attribute",),
+    "bench": ("chronological_split", "compare"),
+    "config": ("AgentConfig", "BenchConfig", "CDR", "RDR", "SDR", "SynthConfig"),
+    "corpus": ("bucket_by_day",),
+    "metrics": ("evaluate", "vaf"),
+    "preprocess": ("clean",),
+    "qlearn": (
+        "predict_series", "reward_cdr", "reward_rdr", "reward_sdr", "train", "zero_reward_points",
+    ),
+    "sentiment": ("builtin_lexicon", "day_signal"),
+    "synth": ("gen_corpus",),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+# The submodules that loading every name imports; each is an attribute, loaded or not.
+_SUBMODULES = (
+    "attributes", "bench", "corpus", "errors", "metrics", "preprocess", "profiler", "qlearn",
+    "sentiment", "synth",
+)
+
+__all__ = sorted(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_SOURCES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    public = {name for name in globals() if not name.startswith("_") or name.endswith("__")}
+    return sorted((public | {*__all__, *_SUBMODULES}) - {"__dir__", "__getattr__"})

@@ -35,48 +35,15 @@ from typing import Callable, Sequence
 
 from . import profiler
 from .attributes import Attribute
+# Defined in the numpy-free .config, so the CLI can read its fields; exported here too.
+from .config import BenchConfig, BenchError
 from .corpus import PriceSeries, TweetRecord, bucket_by_day
-from .errors import SentiqError
 from .metrics import MetricError, vaf
-from .qlearn import (
-    CDR,
-    REWARD_KINDS,
-    AgentConfig,
-    QModel,
-    TrainingDays,
-    _Learner,
-    predict_days,
-    training_days,
-)
+from .qlearn import QModel, TrainingDays, _Learner, predict_days, training_days
 from .sentiment import DailySignal, Lexicon, day_signal
 
 
 PROFILE_INTERVAL = 0.25  # seconds between resource samples
-
-
-class BenchError(SentiqError):
-    """Invalid benchmark configuration or corpus too small to compare."""
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """The race: agent settings, split, wall-clock limit per pipeline and optional target."""
-
-    agent: AgentConfig = AgentConfig()
-    reward: str = CDR
-    train_frac: float = 0.7
-    seconds: float = 600.0
-    target_vaf: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.reward not in REWARD_KINDS:
-            raise BenchError(f"unknown reward kind {self.reward!r}")
-        if not 0.0 < self.train_frac < 1.0:
-            raise BenchError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if not (self.seconds > 0 and math.isfinite(self.seconds)):
-            raise BenchError(f"seconds must be positive and finite, got {self.seconds}")
-        if self.target_vaf is not None and not math.isfinite(self.target_vaf):
-            raise BenchError(f"target_vaf must be finite, got {self.target_vaf}")
 
 
 def split_point(n_days: int, train_frac: float) -> int:

@@ -20,7 +20,16 @@ rest). :data:`SETTINGS` types and checks each key; its numeric keys are the
 ``int`` and ``float`` fields of ``AgentConfig``, ``SynthConfig`` and
 ``BenchConfig``, each typed by its default. A config line with an unknown or
 repeated key or a bad value stops the run with the file and line. All outputs
-go to explicit ``--out`` style paths; nothing is written implicitly.
+go to explicit ``--out`` style paths; nothing is written implicitly. Each
+command's status line (``wrote ...``, ``trained ...``) goes to stderr, so
+stdout carries only results, ``evaluate``'s table and ``compare``'s lines,
+and ``--out /dev/stdout`` gives the file's bytes alone.
+
+A run sets up only what it runs. :func:`build_parser` registers every
+subcommand's name and help, and the parser adds only the flags of the one it
+dispatches to; ``bench``, ``metrics``, ``qlearn`` and ``synth`` are imported
+inside the commands that use them, so ``preprocess``, ``split`` and
+``sentiment`` never load numpy.
 
 Exit codes: 0 success, 1 failure (one-line message on stderr), 2 usage.
 """
@@ -29,42 +38,42 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import re
 import sys
 from collections import ChainMap
 from pathlib import Path
+from typing import Callable
 
-from . import bench, corpus, preprocess, qlearn, synth
+from . import corpus, preprocess
 from .attributes import Attribute, build_dataset
+from .config import CDR, REWARD_KINDS, AgentConfig, BenchConfig, SynthConfig
 from .errors import ConfigError, CorpusError, SentiqError
-from .metrics import evaluate
 # No command calls daily_signals: it stays importable here because
 # perfbench's tracer (perfbench/tracing.py) wraps cli.daily_signals by name,
 # as it wraps cli.build_dataset, which split calls on clean_days' output.
 from .sentiment import Lexicon, builtin_lexicon, daily_signals, day_signal, load_lexicon
 
-logger = logging.getLogger(__name__)
+# bench, metrics, qlearn and synth load numpy: the commands that use them import them.
 
 # Every setting a config file or a flag can give: its type, or the strings it takes.
 SETTINGS: dict[str, type | tuple[str, ...]] = {
     **{
         f.name: type(f.default)
-        for cls in (qlearn.AgentConfig, synth.SynthConfig, bench.BenchConfig)
+        for cls in (AgentConfig, SynthConfig, BenchConfig)
         for f in dataclasses.fields(cls)
         if type(f.default) in (int, float)
     },
     "target_vaf": float,  # BenchConfig's default is None
-    "reward": qlearn.REWARD_KINDS,
+    "reward": REWARD_KINDS,
     "attribute": (*(a.value for a in Attribute), "none"),
     "format": corpus.TWEET_FORMATS,
     "prices": str,
     "lexicon": str,
 }
 # The defaults of the settings that no config class holds.
-DEFAULTS = {"format": "csv", "attribute": "none", "reward": qlearn.CDR}
+DEFAULTS = {"format": "csv", "attribute": "none", "reward": CDR}
 
 
 def load_run_config(path: str | Path) -> dict[str, int | float | str]:
@@ -161,15 +170,33 @@ def _write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _status(message: str) -> None:
+    """Say what a command wrote, on stderr: stdout carries only results (``--out /dev/stdout``)."""
+    print(message, file=sys.stderr)
+
+
+def evaluate(actual, predicted):
+    """:func:`sentiq.metrics.evaluate`, whose module loads numpy, imported on the first call.
+
+    ``evaluate`` calls it through this module attribute because perfbench's
+    tracer (perfbench/tracing.py) wraps ``cli.evaluate`` by name.
+    """
+    from . import metrics
+
+    return metrics.evaluate(actual, predicted)
+
+
 def cmd_synth(args: argparse.Namespace, opts: ChainMap) -> int:
     if Path(args.out_tweets).resolve() == Path(args.out_prices).resolve():
         raise ConfigError(
             f"--out-tweets and --out-prices name the same file: {args.out_prices}"
         )
-    tweets, series = synth.gen_corpus(_config(synth.SynthConfig, opts))
+    from . import synth
+
+    tweets, series = synth.gen_corpus(_config(SynthConfig, opts))
     n = corpus.write_tweets(tweets, args.out_tweets, format=opts["format"])
     m = corpus.write_prices(series, args.out_prices)
-    print(f"wrote {n} tweets to {args.out_tweets} and {m} prices to {args.out_prices}")
+    _status(f"wrote {n} tweets to {args.out_tweets} and {m} prices to {args.out_prices}")
     return 0
 
 
@@ -177,7 +204,7 @@ def cmd_preprocess(args: argparse.Namespace, opts: ChainMap) -> int:
     _, buckets = _load_buckets(opts)
     rows = [r for b in preprocess.clean_days(buckets) for r in b.tweets]
     n = corpus.write_tweets(rows, args.out, format=opts["format"])
-    print(f"wrote {n} cleaned tweets to {args.out}")
+    _status(f"wrote {n} cleaned tweets to {args.out}")
     return 0
 
 
@@ -197,7 +224,7 @@ def cmd_split(args: argparse.Namespace, opts: ChainMap) -> int:
     }
     meta_path = Path(str(args.out) + ".meta.json")
     _write_json(meta_path, meta)
-    print(f"wrote {n} tweets to {args.out} (attribute={meta['attribute']}, sidecar {meta_path})")
+    _status(f"wrote {n} tweets to {args.out} (attribute={meta['attribute']}, sidecar {meta_path})")
     return 0
 
 
@@ -205,20 +232,22 @@ def cmd_sentiment(args: argparse.Namespace, opts: ChainMap) -> int:
     series, signals = _signal_pipeline(opts, _attribute(opts))
     rows = ((s.date.isoformat(), f"{s.mean_compound:.6f}", s.tweet_count) for s in signals)
     corpus.write_csv(args.out, ("date", "mean_compound", "tweet_count"), rows)
-    print(f"wrote {len(signals)} daily signals to {args.out}")
+    _status(f"wrote {len(signals)} daily signals to {args.out}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace, opts: ChainMap) -> int:
+    from . import qlearn
+
     attribute = _attribute(opts)
-    cfg = _config(qlearn.AgentConfig, opts)
+    cfg = _config(AgentConfig, opts)
     reward = opts["reward"]
     series, signals = _signal_pipeline(opts, attribute)
     model, log = qlearn.train(series, signals, reward, cfg, attribute=attribute)
     qlearn.save_model(model, args.out)
     if args.log:
         _write_json(args.log, {"mean_rewards": log.mean_rewards, "epsilons": log.epsilons})
-    print(
+    _status(
         f"trained {reward} model on {len(series)} days "
         f"({log.episodes} episodes, final mean reward {log.mean_rewards[-1]:.4f}); "
         f"saved to {args.out}"
@@ -227,11 +256,13 @@ def cmd_train(args: argparse.Namespace, opts: ChainMap) -> int:
 
 
 def cmd_predict(args: argparse.Namespace, opts: ChainMap) -> int:
+    from . import qlearn
+
     model = qlearn.load_model(args.model)
     series, signals = _signal_pipeline(opts, model.attribute)
     predictions = qlearn.predict_series(model, series, signals)
     corpus.write_dated_prices(series.dates[1:], predictions, args.out)
-    print(f"wrote {len(predictions)} predictions to {args.out}")
+    _status(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
 
 
@@ -247,12 +278,14 @@ def cmd_evaluate(args: argparse.Namespace, opts: ChainMap) -> int:
     print(report.format_table())
     if args.out:
         _write_json(args.out, report.to_dict())
-        print(f"wrote report to {args.out}")
+        _status(f"wrote report to {args.out}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace, opts: ChainMap) -> int:
-    cfg = _config(bench.BenchConfig, opts, agent=_config(qlearn.AgentConfig, opts))
+    from . import bench
+
+    cfg = _config(BenchConfig, opts, agent=_config(AgentConfig, opts))
     series = corpus.load_prices(opts["prices"])
     loaded = corpus.load_tweets(opts["tweets"], format=opts["format"], window=series.window())
     report = bench.compare(loaded.records, series, _lexicon(opts), cfg)
@@ -265,7 +298,7 @@ def cmd_compare(args: argparse.Namespace, opts: ChainMap) -> int:
         )
     if args.out:
         _write_json(args.out, report.to_dict())
-        print(f"wrote report to {args.out}")
+        _status(f"wrote report to {args.out}")
     return 0
 
 
@@ -282,6 +315,28 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose flags are added when argparse dispatches to one.
+
+    ``sentiq --help``, the usage line and an unknown name's error read only
+    each subcommand's name and help, which are always registered. A
+    subcommand's flag-adding function waits in ``pending`` until argparse
+    hands it the rest of the command line, so a run adds the flags of the
+    one subcommand it runs, and ``-h``, ``--`` and every usage error behave
+    as they do with every flag added.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.pending: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        add_flags = self.pending.pop(values[0], None)
+        if add_flags is not None:
+            add_flags(self.choices[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _settings(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
     """Add each setting's flag ``--name-with-dashes``, typed or limited by ``SETTINGS``."""
     for name in names:
@@ -293,89 +348,119 @@ def _settings(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
         parser.add_argument("--" + name.replace("_", "-"), dest=name, **typed, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sentiq",
-        description="Tweet-sentiment Q-learning price prediction pipeline",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    config = _Parser(add_help=False)
-    config.add_argument("--config", help="flat key = value config file")
-    with_config = functools.partial(sub.add_parser, parents=[config])
-    seed_help = "random seed (unsigned 64-bit)"
+def _config_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="flat key = value config file")
 
-    p = with_config("synth", help="generate a seeded synthetic corpus")
-    _settings(p, "seed", help=seed_help)
+
+_SEED_HELP = "random seed (unsigned 64-bit)"
+
+
+def _synth_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
+    _settings(p, "seed", help=_SEED_HELP)
     _settings(p, "days", "tweets_per_day")
     _settings(p, "rho", help="planted follower-signal strength in [0, 1]")
     _settings(p, "base_price", "daily_vol", "format")
     p.add_argument("--out-tweets", required=True, dest="out_tweets")
     p.add_argument("--out-prices", required=True, dest="out_prices")
-    p.set_defaults(func=cmd_synth)
 
-    p = with_config("preprocess", help="clean texts and drop same-day duplicates")
+
+def _preprocess_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", help="restrict to the price-series window")
     _settings(p, "format")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_preprocess)
 
-    p = with_config("split", help="keep each day's top half by an engagement attribute")
+
+def _split_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", "attribute", "format")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
 
-    p = with_config("sentiment", help="daily mean-compound signal series")
+
+def _sentiment_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", required=True)
     _settings(p, "lexicon", "attribute", "format")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sentiment)
 
-    p = with_config("train", help="train a Q-model on a corpus + price history")
-    _settings(p, "seed", help=seed_help)
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
+    _settings(p, "seed", help=_SEED_HELP)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", required=True)
     _settings(p, "lexicon", "reward", "attribute", "format")
     p.add_argument("--log", help="write per-episode training log JSON here")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = with_config("predict", help="greedy next-day predictions from a saved model")
+
+def _predict_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
     p.add_argument("--model", required=True)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", required=True)
     _settings(p, "lexicon", "format")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score a prediction file against actuals")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--actual", required=True, help="date,price CSV of actual values")
     p.add_argument("--predicted", required=True, help="date,price CSV of predictions")
     p.add_argument("--out", help="also write the report as JSON")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = with_config("compare", help="classic vs follower-filtered pipeline benchmark")
-    _settings(p, "seed", help=seed_help)
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
+    _config_flag(p)
+    _settings(p, "seed", help=_SEED_HELP)
     p.add_argument("--tweets", required=True)
     _settings(p, "prices", required=True)
     _settings(p, "lexicon")
-    default = bench.BenchConfig.seconds
+    default = BenchConfig.seconds
     _settings(p, "seconds", help=f"wall-clock limit per approach (default {default:g})")
     _settings(p, "target_vaf", help="stop an approach once its held-out VAF reaches this")
     _settings(p, "reward", "train_frac", "format")
     p.add_argument("--out", help="write the full comparison report JSON here")
-    p.set_defaults(func=cmd_compare)
 
+
+# Each subcommand: its help line, the function that adds its flags, and the command.
+COMMANDS = {
+    "synth": ("generate a seeded synthetic corpus", _synth_flags, cmd_synth),
+    "preprocess": ("clean texts and drop same-day duplicates", _preprocess_flags, cmd_preprocess),
+    "split": ("keep each day's top half by an engagement attribute", _split_flags, cmd_split),
+    "sentiment": ("daily mean-compound signal series", _sentiment_flags, cmd_sentiment),
+    "train": ("train a Q-model on a corpus + price history", _train_flags, cmd_train),
+    "predict": ("greedy next-day predictions from a saved model", _predict_flags, cmd_predict),
+    "evaluate": ("score a prediction file against actuals", _evaluate_flags, cmd_evaluate),
+    "compare": ("classic vs follower-filtered pipeline benchmark", _compare_flags, cmd_compare),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``sentiq`` parser: every subcommand's name and help, and each one's flags left pending.
+
+    A subcommand's flags are added when the parser dispatches to it (:class:`_Subcommands`).
+    """
+    parser = _Parser(
+        prog="sentiq",
+        description="Tweet-sentiment Q-learning price prediction pipeline",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, (summary, add_flags, _) in COMMANDS.items():
+        sub.add_parser(name, help=summary)
+        sub.pending[name] = add_flags
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    run = COMMANDS[args.command][2]
     try:
-        return args.func(args, _options(args))
+        return run(args, _options(args))
     except (SentiqError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -46,8 +46,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import CorpusError
 
 logger = logging.getLogger(__name__)
@@ -89,7 +87,8 @@ _CENT = Decimal("0.01")
 # round_price's float fast path: taken for a value whose cents c lie below
 # _FAST_CENTS and whose fraction lies more than c * _TIE_MARGIN from one half.
 # The margin alone ends the path near 5e13 cents; the _FAST_CENTS test keeps
-# an infinite c (a value from about 1.8e306 up) from math.floor.
+# an infinite c (a value from about 1.8e306 up) from math.floor. qlearn's
+# round_prices_fast takes the same path over an array, with the same margin.
 _FAST_CENTS = 2.0**50
 _TIE_MARGIN = 1e-14
 
@@ -132,24 +131,6 @@ def round_price(value: float | int | str | Decimal) -> float:
             if number.is_finite():
                 reason = f"too large to round to cents in {_CENTS_CONTEXT.prec} digits"
             raise CorpusError(f"{reason}: {value!r}") from None
-
-
-def round_prices_fast(values: np.ndarray) -> np.ndarray:
-    """:func:`round_price` of each float in an array, where its fast path decides.
-
-    Each element the float fast path takes gets the bits :func:`round_price`
-    returns for it, computed with the same float operations; every other
-    element (a value near a half-cent tie, at or below zero, from about
-    ``5e13`` cents up, or not finite) is NaN, left for :func:`round_price`.
-    The tie margin refuses the large values, an infinite ``c`` too (its
-    fraction is NaN), so :func:`round_price`'s ``2**50`` test is not needed.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        c = values * 100.0
-        whole = np.floor(c)
-        frac = c - whole
-        fast = (values > 0.0) & (np.abs(frac - 0.5) > c * _TIE_MARGIN)
-        return np.where(fast, (whole + (frac > 0.5)) / 100, np.nan)
 
 
 def _day_start(day: dt.date) -> int:

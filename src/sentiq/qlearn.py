@@ -33,7 +33,6 @@ import math
 import os
 import stat
 import struct
-import sys
 from dataclasses import asdict, dataclass
 from itertools import pairwise
 from pathlib import Path
@@ -42,8 +41,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .attributes import Attribute
-from .corpus import PriceSeries, round_price, round_prices_fast
-from .errors import AlignmentError, ModelFormatError, SentiqError, check_int_fields
+# Defined in the numpy-free .config, so the CLI can read their fields; exported here too.
+from .config import CDR, RDR, REWARD_KINDS, SDR, AgentConfig, QLearnError
+from .corpus import _TIE_MARGIN, PriceSeries, round_price
+from .errors import AlignmentError, ModelFormatError
 from .sentiment import DailySignal
 
 _MAGIC = b"SQMODEL\x01"
@@ -52,91 +53,7 @@ _BLOCK_WORDS = 8192  # 64 KiB of table: save_model writes or skips one block at 
 _GRID_BLOCK = 8192  # cells of price grid a _Learner prices at once, 64 KiB per temporary
 
 
-class QLearnError(SentiqError):
-    """Invalid agent configuration or out-of-range state inputs."""
-
-
-SDR = "sdr"
-RDR = "rdr"
-CDR = "cdr"
-REWARD_KINDS = (SDR, RDR, CDR)
 _ATTRIBUTE_NAMES = tuple(a.value for a in Attribute)
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    """Hyperparameters and discretization grid for the predictor.
-
-    ``action_min``/``action_max`` bound the percent moves the agent may pick;
-    the default floor of -100 keeps predictions non-negative, and wider
-    ranges are honored with the prediction clamped at zero. ``sentiment_bins = 1``
-    ignores the sentiment signal: every compound lands in bin 0.
-    """
-
-    gamma: float = 0.95
-    theta: float = 0.1
-    action_min: int = -100
-    action_max: int = 1000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.01
-    episodes: int = 500
-    price_bucket_width: float = 500.0
-    price_max: float = 100_000.0
-    sentiment_bins: int = 21
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_int_fields(self, QLearnError)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise QLearnError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 < self.theta <= 1.0:
-            raise QLearnError(f"theta must be in (0, 1], got {self.theta}")
-        if self.action_min >= self.action_max:
-            raise QLearnError(
-                f"action_min {self.action_min} must be below action_max {self.action_max}"
-            )
-        for name in ("epsilon_start", "epsilon_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise QLearnError(f"{name} must be in [0, 1], got {value}")
-        if self.epsilon_end > self.epsilon_start:
-            raise QLearnError(
-                f"epsilon_end {self.epsilon_end} must not exceed epsilon_start {self.epsilon_start}"
-            )
-        if self.episodes < 1:
-            raise QLearnError(f"episodes must be >= 1, got {self.episodes}")
-        if not self.price_bucket_width > 0:
-            raise QLearnError(f"price_bucket_width must be positive, got {self.price_bucket_width}")
-        if not math.isfinite(self.price_max):
-            raise QLearnError(f"price_max must be finite, got {self.price_max}")
-        if not self.price_max > self.price_bucket_width:
-            raise QLearnError(
-                f"price_max {self.price_max} must exceed price_bucket_width {self.price_bucket_width}"
-            )
-        if not math.isfinite(self.price_max / self.price_bucket_width):
-            raise QLearnError(
-                f"price_max / price_bucket_width must be finite, "
-                f"got {self.price_max} / {self.price_bucket_width}"
-            )
-        if self.sentiment_bins < 1 or self.sentiment_bins % 2 == 0:
-            raise QLearnError(f"sentiment_bins must be odd and positive, got {self.sentiment_bins}")
-        n_price, n_sentiment, n_actions = self.table_shape
-        if n_price * n_sentiment * n_actions * 8 > sys.maxsize:
-            raise QLearnError(
-                f"price_max / price_bucket_width, sentiment_bins and action_min..action_max give "
-                f"a {n_price:.3g} x {n_sentiment} x {n_actions} Q-table, over sys.maxsize bytes"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise QLearnError("seed must be an unsigned 64-bit integer")
-
-    @property
-    def n_actions(self) -> int:
-        return self.action_max - self.action_min + 1
-
-    @property
-    def table_shape(self) -> tuple[int, int, int]:
-        """The Q-table's (price bins, sentiment bins, actions)."""
-        return -int(-self.price_max // self.price_bucket_width), self.sentiment_bins, self.n_actions
 
 
 class State(NamedTuple):
@@ -380,13 +297,32 @@ def training_days(
     return TrainingDays(prices.prices, tuple(index), tuple(rows))
 
 
+def round_prices_fast(values: np.ndarray) -> np.ndarray:
+    """:func:`~sentiq.corpus.round_price` of each float in an array, where its fast path decides.
+
+    Each element the float fast path takes gets the bits ``round_price``
+    returns for it, computed with the same float operations and the same
+    ``corpus._TIE_MARGIN``; every other element (a value near a half-cent
+    tie, at or below zero, from about ``5e13`` cents up, or not finite) is
+    NaN, left for ``round_price``. The tie margin refuses the large values,
+    an infinite ``c`` too (its fraction is NaN), so ``round_price``'s
+    ``2**50`` test is not needed.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = values * 100.0
+        whole = np.floor(c)
+        frac = c - whole
+        fast = (values > 0.0) & (np.abs(frac - 0.5) > c * _TIE_MARGIN)
+        return np.where(fast, (whole + (frac > 0.5)) / 100, np.nan)
+
+
 def _price_grid(prices: Sequence[float], action_min: int, n_actions: int) -> np.ndarray:
     """:func:`predicted_price` from each of ``prices`` (rows) by each action index (columns).
 
     Each row is priced as :func:`predicted_price` prices it, ``prev * (1 + a/100)``
-    in the same float operations, then rounded by
-    :func:`~sentiq.corpus.round_prices_fast`: a cell its fast path leaves
-    undecided is NaN, for the caller to price with :func:`predicted_price`.
+    in the same float operations, then rounded by :func:`round_prices_fast`:
+    a cell its fast path leaves undecided is NaN, for the caller to price
+    with :func:`predicted_price`.
     The rows are priced a block of about ``_GRID_BLOCK`` cells at a time, so
     the temporaries stay that small whatever the grid's size.
     """

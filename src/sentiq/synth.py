@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+# Defined in the numpy-free .config, so the CLI can read its fields; exported here too.
+from .config import SynthConfig, SynthError
 from .corpus import _DAY_S, CorpusError, PriceSeries, TweetRecord, _day_start, round_price
-from .errors import SentiqError, check_int_fields
 from .sentiment import builtin_lexicon
 
 _START = dt.date(2021, 1, 1)  # the first price day
@@ -51,40 +51,6 @@ _FILLER_VOCAB = (
     "late", "maybe", "sure", "now", "soon", "still", "again", "people",
     "everyone", "thinking", "feels", "session", "daily",
 )
-
-
-class SynthError(SentiqError):
-    """Invalid generator configuration."""
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    days: int = 100
-    tweets_per_day: int = 50
-    rho: float = 0.8
-    base_price: float = 20_000.0
-    daily_vol: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_int_fields(self, SynthError)
-        if self.days < 2:
-            raise SynthError(f"days must be >= 2, got {self.days}")
-        if self.tweets_per_day < 1:
-            raise SynthError(f"tweets_per_day must be >= 1, got {self.tweets_per_day}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise SynthError(f"rho must be in [0, 1], got {self.rho}")
-        if not (self.base_price > 0 and math.isfinite(self.base_price)):
-            raise SynthError(f"base_price must be positive, got {self.base_price}")
-        try:
-            round_price(self.base_price)
-        except CorpusError as exc:
-            raise SynthError(f"base_price: {exc}") from None
-        # A z = -2 day moves the price by -2 * daily_vol: -100 % or worse from 0.5 up.
-        if not 0 < self.daily_vol < 0.5:
-            raise SynthError(f"daily_vol must be > 0 and < 0.5, got {self.daily_vol}")
-        if not 0 <= self.seed < 2**64:
-            raise SynthError("seed must be an unsigned 64-bit integer")
 
 
 def _token_tables() -> tuple[np.ndarray, list[str], list[str], list[str]]:

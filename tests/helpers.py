@@ -131,15 +131,16 @@ def raw_days(draw, fragments=FRAGMENTS):
     return tuple(days)
 
 
-def run_cli(args, cwd) -> tuple[int, str, str]:
-    """Run ``python -m sentiq.cli`` in ``cwd`` on the same ``sentiq`` the tests import."""
+def run_python(args, cwd, text: bool = True) -> tuple[int, str | bytes, str | bytes]:
+    """Run ``python *args`` in ``cwd`` on the same ``sentiq`` the tests import."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "sentiq.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
+        [sys.executable, *map(str, args)], capture_output=True, text=text, cwd=cwd, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(args, cwd, text: bool = True) -> tuple[int, str | bytes, str | bytes]:
+    """Run ``python -m sentiq.cli *args`` in ``cwd`` on the same ``sentiq`` the tests import."""
+    return run_python(["-m", "sentiq.cli", *args], cwd, text)

@@ -3,14 +3,17 @@ import csv
 import io
 import json
 import logging
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import attribute_signal_series, run_cli
+from helpers import attribute_signal_series, run_cli, run_python
 from oracles import o_cleaned_rows
 from sentiq import qlearn, synth
 from sentiq.attributes import Attribute, build_dataset
-from sentiq.cli import SETTINGS, build_parser, main
+from sentiq.cli import COMMANDS, SETTINGS, build_parser, main
 from sentiq.corpus import (
     TWEET_FIELDS,
     TWEET_FORMATS,
@@ -44,7 +47,9 @@ def cli_corpus(tmp_path_factory):
         cwd=root,
     )
     assert code == 0, err
-    assert "wrote 240 tweets" in out
+    # Status lines go to stderr: stdout carries only results.
+    assert out == ""
+    assert "wrote 240 tweets" in err
     return root, tweets, prices
 
 
@@ -246,12 +251,26 @@ def test_settings_lists_every_key_with_its_type_or_choices():
     }
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """``build_parser()`` with every subcommand's flags added up front."""
+    parser = build_parser()
+    subparsers = _subcommands(parser)
+    for name, add_flags in subparsers.pending.items():
+        add_flags(subparsers.choices[name])
+    subparsers.pending.clear()
+    return parser
+
+
 def test_every_settings_flag_is_typed_from_settings():
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
+    subparsers = _subcommands(full_parser())
+    assert list(subparsers.choices) == list(COMMANDS)
     flagged = set()
     for sub in subparsers.choices.values():
+        assert len(sub._actions) > 1, sub.prog  # flags beyond -h
         for action in sub._actions:
             if action.dest not in SETTINGS:
                 continue
@@ -267,6 +286,118 @@ def test_every_settings_flag_is_typed_from_settings():
         "seed", "days", "tweets_per_day", "rho", "base_price", "daily_vol", "format", "prices",
         "attribute", "lexicon", "reward", "seconds", "target_vaf", "train_frac",
     }
+
+
+# ---------------------------------------------------------------------------
+# usage and startup: help and usage errors keep their bytes, main adds only the
+# flags of the subcommand it runs, and the text commands run without numpy
+
+# CPython 3.11's argparse at COLUMNS=80, recorded before main added flags lazily.
+USAGE_GOLDEN = Path(__file__).parent / "data" / "usage_py311.json"
+USAGE_CASES = json.loads(USAGE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def _parse(parse, argv, monkeypatch, capsys):
+    """(exit code, stdout, stderr, parsed settings) of ``parse(argv)`` at COLUMNS=80."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = None
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        code, parsed = (result, None) if isinstance(result, int) else (0, vars(result))
+    out, err = capsys.readouterr()
+    return code, out, err, parsed
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="usage bytes recorded on CPython 3.11")
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_help_and_usage_errors_keep_their_bytes(monkeypatch, capsys, case):
+    got = _parse(main, case["argv"], monkeypatch, capsys)
+    assert got[:3] == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_a_lazy_parser_parses_as_the_full_one(monkeypatch, capsys, case):
+    argv = case["argv"]
+    lazy = _parse(lambda a: build_parser().parse_args(a), argv, monkeypatch, capsys)
+    assert lazy == _parse(lambda a: full_parser().parse_args(a), argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_adds_flags_only_for_the_subcommand_it_runs(monkeypatch, capsys, command):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def recording(container, *args, **kwargs):
+        added.append((container.prog, args))
+        return add_argument(container, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--help" in capsys.readouterr().out
+    flags = [(prog, args) for prog, args in added if args != ("-h", "--help")]
+    assert flags and {prog for prog, _ in flags} == {f"sentiq {command}"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("command", ["preprocess", "sentiment"])
+def test_out_dev_stdout_gets_the_bytes_of_out_file(cli_corpus, tmp_path, command):
+    # Status lines go to stderr, so stdout carries the file and nothing else.
+    _, tweets, prices = cli_corpus
+    argv = [command, "--tweets", tweets, "--prices", prices, "--out"]
+    code, out, err = run_cli([*argv, "out.csv"], cwd=tmp_path, text=False)
+    assert (code, out) == (0, b""), err
+    assert err.startswith(b"wrote ")
+    code, out, err = run_cli([*argv, "/dev/stdout"], cwd=tmp_path, text=False)
+    assert code == 0, err
+    assert out == (tmp_path / "out.csv").read_bytes()
+
+
+_REFUSE_NUMPY = """
+import sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"refused: {name}")
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+from sentiq.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("preprocess", ()),
+        ("split", ("--attribute", "followers")),
+        ("sentiment", ("--prices", "prices.csv")),
+    ],
+)
+def test_text_commands_run_without_numpy(data_dir, tmp_path, command, extra):
+    # The fixture's tweets are all of 2021-03-01.
+    prices = b"date,price\r\n2021-03-01,100.00\r\n2021-03-02,101.00\r\n"
+    argv = [command, "--tweets", data_dir / "clean_fixture.csv", *extra, "--out", "out.csv"]
+    runs = {}
+    for name in ("normal", "refused"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "prices.csv").write_bytes(prices)
+        if name == "normal":
+            result = run_cli(argv, cwd=tmp_path / name, text=False)
+        else:
+            result = run_python(["-c", _REFUSE_NUMPY, *argv], cwd=tmp_path / name, text=False)
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        runs[name] = (result, files)
+    assert runs["normal"][0][0] == 0, runs["normal"][0][2]
+    assert "out.csv" in runs["normal"][1]
+    assert runs["refused"] == runs["normal"]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +515,8 @@ def test_preprocess_writes_cleaned_rows(cli_corpus):
         ["preprocess", "--tweets", tweets, "--prices", prices, "--out", out], cwd=root
     )
     assert code == 0, err
-    assert "cleaned tweets" in stdout
+    assert stdout == ""
+    assert "cleaned tweets" in err
     cleaned = load_tweets(out).records
     assert cleaned
     for record in cleaned:
@@ -627,7 +759,8 @@ def test_train_then_predict_round_trip(cli_corpus, agent_cfg_file):
         cwd=root,
     )
     assert code == 0, err
-    assert "trained cdr model on 40 days" in stdout
+    assert stdout == ""
+    assert "trained cdr model on 40 days" in err
 
     model = load_model(model_path)
     assert model.reward == "cdr"

@@ -2,10 +2,12 @@
 
 import ast
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 import sentiq
+from helpers import run_python
 from sentiq.cli import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,3 +54,46 @@ def test_readme_configuration_table_lists_exactly_the_config_keys():
     assert set(listed) == set(SETTINGS), {
         "undocumented": set(SETTINGS) - set(listed), "not a key": set(listed) - set(SETTINGS)
     }
+
+
+# The namespace a fresh ``import sentiq`` had when it imported every quickstart
+# name eagerly; loading them on first use keeps it.
+EXPORTS = [
+    "AgentConfig", "Attribute", "BenchConfig", "CDR", "RDR", "SDR", "SynthConfig",
+    "bucket_by_day", "builtin_lexicon", "chronological_split", "clean", "compare",
+    "day_signal", "evaluate", "gen_corpus", "predict_series", "reward_cdr", "reward_rdr",
+    "reward_sdr", "train", "vaf", "zero_reward_points",
+]
+DIR = sorted([
+    *EXPORTS, "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__", "__version__", "attributes", "bench",
+    "corpus", "errors", "metrics", "preprocess", "profiler", "qlearn", "sentiment", "synth",
+])
+
+
+def test_a_fresh_import_has_the_eager_namespace_and_every_star_name(tmp_path):
+    script = (
+        "import json, sentiq\n"
+        "names = [sentiq.__all__, sorted(dir(sentiq))]\n"
+        "star = {}\n"
+        "exec('from sentiq import *', star)\n"
+        "print(json.dumps([*names, sorted(set(star) - {'__builtins__'})]))\n"
+    )
+    code, out, err = run_python(["-c", script], cwd=tmp_path)
+    assert code == 0, err
+    exports, names, star = json.loads(out)
+    assert (exports, names, star) == (EXPORTS, DIR, EXPORTS)
+
+
+def test_every_name_in_dir_resolves():
+    for name in dir(sentiq):
+        assert hasattr(sentiq, name), name
+    assert sentiq.AgentConfig is sentiq.qlearn.AgentConfig
+    assert sentiq.SynthConfig is sentiq.synth.SynthConfig
+    assert sentiq.BenchConfig is sentiq.bench.BenchConfig
+    assert not hasattr(sentiq, "no_such_name")
+
+
+def test_the_package_the_cli_and_ingest_import_without_numpy(tmp_path):
+    script = "import sys, sentiq, sentiq.cli, sentiq.corpus\nprint('numpy' in sys.modules)\n"
+    assert run_python(["-c", script], cwd=tmp_path) == (0, "False\n", "")
