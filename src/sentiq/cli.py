@@ -40,7 +40,9 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import re
+import stat
 import sys
 from collections import ChainMap
 from pathlib import Path
@@ -216,15 +218,20 @@ def cmd_split(args: argparse.Namespace, opts: ChainMap) -> int:
     dataset = build_dataset(preprocess.clean_days(buckets), attribute)
     rows = [r for b in dataset.buckets for r in b.tweets]
     n = corpus.write_tweets(rows, args.out, format=opts["format"])
-    meta = {
-        "attribute": opts["attribute"],
-        "source": str(opts["tweets"]),
-        "days": len(dataset.buckets),
-        "tweets": dataset.total_tweets,
-    }
-    meta_path = Path(str(args.out) + ".meta.json")
-    _write_json(meta_path, meta)
-    _status(f"wrote {n} tweets to {args.out} (attribute={meta['attribute']}, sidecar {meta_path})")
+    # The sidecar sits next to a file: a stream such as /dev/stdout (a
+    # symlink), a FIFO or a device gets none.
+    if stat.S_ISREG(os.lstat(args.out).st_mode):
+        meta_path = Path(str(args.out) + ".meta.json")
+        _write_json(meta_path, {
+            "attribute": opts["attribute"],
+            "source": str(opts["tweets"]),
+            "days": len(dataset.buckets),
+            "tweets": dataset.total_tweets,
+        })
+        sidecar = f"sidecar {meta_path}"
+    else:
+        sidecar = "no sidecar: not a regular file"
+    _status(f"wrote {n} tweets to {args.out} (attribute={opts['attribute']}, {sidecar})")
     return 0
 
 

@@ -21,6 +21,12 @@ point (see :func:`clean`).
 ``clean_day`` is the one per-day rule: it cleans a day's raw records and drops
 empty texts and same-day duplicates. ``sentiment.day_signal`` scores what it
 keeps, and ``clean_days`` (``preprocess`` and ``split``) runs it on each day.
+Most days of a corpus that was cleaned once already hold only fixed points of
+``clean``, so ``clean_day`` first tests the whole day at once: it joins the
+texts with ``"\n"`` and runs a few scans of that one string, each of which
+rules out one step of ``clean`` for every text (see
+:func:`_all_fixed_points`). A day that passes is only deduplicated; any other
+day is cleaned text by text.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .corpus import DayBucket, TweetRecord, _by_time_then_id
 
@@ -39,6 +46,13 @@ _MENTION_RE = re.compile(r"@\w*")
 _DOT_RUN_RE = re.compile(r"\.{2,}")
 _CHAR_RUN_RE = re.compile(r"(.)\1{3,}", re.DOTALL)
 _FOUR_RUN_RE = re.compile(r"(.)\1\1\1", re.DOTALL)
+_text = itemgetter(2)  # a TweetRecord's text
+# Every character that str.split() splits on (str.isspace) but " " and "\n";
+# tests/unicode_lower.py checks the list against every code point.
+_OTHER_SPACES = (
+    "\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 def _strip_leading_rt(text: str) -> str:
@@ -100,6 +114,61 @@ def clean(text: str) -> str:
     return cleaned
 
 
+def _has_four_run(text: str) -> bool:
+    """Whether ``text`` holds four of one character in a row (``_FOUR_RUN_RE``).
+
+    An ASCII text has one byte per character. With ``x`` its bytes as one
+    big-endian integer, byte ``i`` of ``x ^ (x >> 8)`` is byte ``i`` of the
+    text xor byte ``i - 1``, so for ``i >= 1`` it is zero exactly when
+    character ``i`` repeats the one before, and a run of four is three zero
+    bytes in a row from index 1 on. Those are a few linear passes in C,
+    where the regex tries a match at every position.
+    """
+    if not text.isascii():
+        return _FOUR_RUN_RE.search(text) is not None
+    data = text.encode("ascii")
+    x = int.from_bytes(data, "big")
+    return (x ^ (x >> 8)).to_bytes(len(data), "big").find(b"\0\0\0", 1) != -1
+
+
+def _all_fixed_points(texts: list[str]) -> bool:
+    """Whether :func:`clean` returns each of ``texts`` unchanged, tested all at once.
+
+    ``joined`` holds each text between two ``"\n"``, so a text starts right
+    after a ``"\n"`` and ends right before one. Cheap scans of it come first,
+    so most days with noise fail at once. When every test passes, each text
+    ``t`` holds no ``@``, ``#``, dot run, run of four, ``http://`` or
+    ``https://`` (a substring of ``t`` is one of ``joined``), no ``www.`` at
+    its start or after a space, and ``t.lower() == t`` (``str.lower`` maps a
+    character on its own, apart from a capital sigma, which it always changes,
+    and no character lowers to a string that starts with itself). ``joined``
+    holds only the ``n + 1`` ``"\n"`` put around the ``n`` texts, so no text
+    holds one, and no whitespace but those and spaces (``_OTHER_SPACES``);
+    with the ``"\n"`` as spaces it has no two spaces in a row, so every text
+    is non-empty and its only whitespace is single spaces between other
+    characters. No text is ``rt`` or starts with ``rt ``, and with no leading
+    whitespace that is all ``_strip_leading_rt`` removes. So
+    ``_clean_pass(t)`` changes no step of ``t`` and returns it, and
+    :func:`clean` returns after that one pass.
+    """
+    joined = "\n".join(("", *texts, ""))
+    if "@" in joined or "#" in joined or ".." in joined:
+        return False
+    if "://" in joined and ("http://" in joined or "https://" in joined):
+        return False
+    if "www." in joined and ("\nwww." in joined or " www." in joined):
+        return False
+    if joined.lower() != joined:
+        return False
+    if "\nrt" in joined and ("\nrt " in joined or "\nrt\n" in joined):
+        return False
+    if joined.count("\n") != len(texts) + 1 or any(c in joined for c in _OTHER_SPACES):
+        return False
+    if "  " in joined.replace("\n", " "):
+        return False
+    return not _has_four_run(joined)
+
+
 def clean_day(records: tuple[TweetRecord, ...]) -> tuple[list[TweetRecord], int]:
     """One day's raw records cleaned and deduplicated, and how many cleaned to empty.
 
@@ -107,14 +176,27 @@ def clean_day(records: tuple[TweetRecord, ...]) -> tuple[list[TweetRecord], int]
     a text that cleans to empty, or to one an earlier record had, is dropped
     (the first one wins). An unchanged record comes back as the same object,
     a changed one as a copy with the cleaned text.
+
+    When :func:`_all_fixed_points` finds that every text of the day is a
+    fixed point of :func:`clean`, no text is cleaned: the day is only
+    deduplicated (with no text twice, every record is kept), every kept
+    record is the one passed in, and none is empty.
     """
+    ordered = sorted(records, key=_by_time_then_id)
+    texts = list(map(_text, ordered))
+    if _all_fixed_points(texts):
+        if len(set(texts)) == len(texts):
+            return ordered, 0
+        normalize = str  # str(s) == s: the texts stay as they are
+    else:
+        normalize = clean
     new = tuple.__new__
     seen: set[str] = set()
     kept = []
     empty = 0
-    for record in sorted(records, key=_by_time_then_id):
+    for record in ordered:
         raw = record[2]
-        text = clean(raw)
+        text = normalize(raw)
         if not text:
             empty += 1
         elif text not in seen:

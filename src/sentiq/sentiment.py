@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
+from typing import Iterable
 
 from .attributes import Attribute, rank_and_halve
 from .corpus import DayBucket
@@ -88,36 +89,48 @@ def compound_of(raw_sum: float) -> float:
 
 def score(text: str, lexicon: Lexicon) -> float:
     """One text's compound; texts with no lexicon hits score 0."""
-    total = 0.0
-    if "!" not in text:
-        # No token carries emphasis, and 1.292 ** 0 == 1.0, so adding the hits
-        # as they are, left to right, gives the same bits as the loop below.
-        # Not sum(): from Python 3.12 it compensates, which changes the bits.
-        for valence in map(lexicon.get, text.split()):
-            if valence is not None:
-                total += valence
-        return compound_of(total)
-    for token in text.split():
-        bangs = 0
-        while token.endswith("!"):
-            token = token[:-1]
-            bangs += 1
-        if not token:
-            continue
-        valence = lexicon.get(token)
-        if valence is None:
-            continue
-        total += valence * EMPHASIS_FACTOR ** min(bangs, _MAX_EMPHASIS)
-    return compound_of(total)
+    # -0.0 + c == c for every float c (a compound that underflows to -0.0
+    # included), so these are the compound's own bits.
+    return _compound_sum((text,), lexicon, -0.0)
+
+
+def _compound_sum(texts: Iterable[str], lexicon: Lexicon, start: float = 0.0) -> float:
+    """``start`` plus the texts' compounds, added left to right: scoring, written once.
+
+    :func:`score`, :func:`daily_signals` and :func:`day_signal` call it; the
+    loop is inline, with ``compound_of`` written out, because it runs once per
+    tweet. A text with no ``!`` carries no emphasis, and ``1.292 ** 0 ==
+    1.0``, so its hits are added as they are. ``filter(None, ...)`` also skips
+    zero valences: a raw sum starts at +0.0, so it is never -0.0 (in round to
+    nearest a sum is -0.0 only when both terms are), and adding +0.0 or -0.0
+    to any other float returns it unchanged. Not ``sum()``: from Python 3.12
+    it compensates, which changes the bits.
+    """
+    get = lexicon.get
+    sqrt = math.sqrt
+    total = start
+    for text in texts:
+        s = 0.0
+        if "!" not in text:
+            for valence in filter(None, map(get, text.split())):
+                s += valence
+        else:
+            for token in text.split():
+                bangs = 0
+                while token.endswith("!"):
+                    token = token[:-1]
+                    bangs += 1
+                if token and (valence := get(token)) is not None:
+                    s += valence * EMPHASIS_FACTOR ** min(bangs, _MAX_EMPHASIS)
+        total += s / sqrt(s * s + _NORMALIZATION)
+    return total
 
 
 def daily_signals(buckets: tuple[DayBucket, ...], lexicon: Lexicon) -> tuple[DailySignal, ...]:
     """Unweighted mean compound over each day's cleaned tweets; an empty day is (0, 0)."""
     signals = []
     for bucket in buckets:
-        total = 0.0
-        for tweet in bucket.tweets:
-            total += score(tweet.clean_text, lexicon)
+        total = _compound_sum([tweet.clean_text for tweet in bucket.tweets], lexicon)
         n = len(bucket.tweets)
         signals.append(DailySignal(bucket.date, total / n if n else 0.0, n))
     return tuple(signals)
@@ -132,7 +145,9 @@ def day_signal(
     and the demos run it over :func:`~sentiq.corpus.bucket_by_day`. The day's
     top half by ``attribute`` (all of it for ``None``) goes through
     :func:`~sentiq.preprocess.clean_day`, the one per-day cleaning rule, and
-    each kept text is scored in (timestamp, id) order. The staged
+    the kept texts are scored in (timestamp, id) order in one loop,
+    ``_compound_sum``, whose compounds and their sum have the bits of adding
+    :func:`score` of each text. The staged
     :func:`~sentiq.attributes.build_dataset`,
     :func:`~sentiq.preprocess.clean_and_dedup` and :func:`daily_signals`
     give the same signal; no command runs that chain.
@@ -140,8 +155,6 @@ def day_signal(
     if attribute is not None:
         bucket = rank_and_halve(bucket, attribute)
     kept, _ = clean_day(bucket.tweets)
-    total = 0.0
-    for record in kept:
-        total += score(record.text, lexicon)
+    total = _compound_sum([record[2] for record in kept], lexicon)
     n = len(kept)
     return DailySignal(bucket.date, total / n if n else 0.0, n), len(bucket.tweets)

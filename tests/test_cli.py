@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -548,6 +549,40 @@ def test_split_writes_sidecar_metadata(cli_corpus):
     kept = sum((len(b.tweets) + 1) // 2 for b in buckets)
     assert meta["tweets"] == kept
     assert len(load_tweets(out).records) == kept
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_split_to_a_fifo_writes_the_file_bytes_and_no_sidecar(cli_corpus, tmp_path):
+    _, tweets, prices = cli_corpus
+    argv = ["split", "--tweets", tweets, "--prices", prices, "--attribute", "followers", "--out"]
+    code, _, err = run_cli([*argv, "split.csv"], cwd=tmp_path, text=False)
+    assert code == 0, err
+    assert (tmp_path / "split.csv.meta.json").is_file()
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as handle:
+            got.append(handle.read())
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        code, _, err = run_cli([*argv, fifo], cwd=tmp_path, text=False)
+    finally:
+        if reader.is_alive() and not got:
+            # The command never opened the FIFO: open it once so the read returns.
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+        reader.join(timeout=30)
+    assert code == 0, err
+    assert got == [(tmp_path / "split.csv").read_bytes()]
+    assert not (tmp_path / "fifo.meta.json").exists()
+    assert err.rstrip().endswith(b"(attribute=followers, no sidecar: not a regular file)")
 
 
 def test_split_writes_each_day_in_rank_order(tmp_path):

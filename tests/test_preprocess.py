@@ -1,5 +1,6 @@
 import logging
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import D0, T0, make_tweet, raw_days
 from oracles import o_clean, o_cleaned_rows
-from unicode_lower import lower_not_idempotent
+from unicode_lower import lower_not_idempotent, lower_starts_with_itself, other_spaces
 from sentiq import preprocess
 from sentiq.corpus import DayBucket, load_tweets
 from sentiq.preprocess import (
@@ -15,6 +16,7 @@ from sentiq.preprocess import (
     clean,
     clean_and_dedup,
     clean_buckets,
+    clean_day,
     clean_days,
     dedup,
 )
@@ -263,6 +265,16 @@ def test_clean_relies_on_lower_being_idempotent_on_every_code_point():
     # which lowercase text no longer holds.
     text = "ΑΣ ΣΑΣ. İ"
     assert text.lower().lower() == text.lower()
+    # clean_day's day-level test reads joined.lower() == joined as "lower
+    # keeps every character", which needs this of every code point.
+    assert lower_starts_with_itself() == []
+
+
+def test_other_spaces_lists_every_whitespace_but_space_and_newline():
+    # clean_day's day-level test finds a text's other whitespace by scanning
+    # for each of these.
+    assert sorted(preprocess._OTHER_SPACES) == sorted(other_spaces())
+    assert len(set(preprocess._OTHER_SPACES)) == len(preprocess._OTHER_SPACES)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +400,115 @@ def test_clean_days_matches_the_staged_chain(caplog, buckets):
         [("sentiq.preprocess", logging.WARNING,
           f"dropped {empties} tweets whose text cleaned to empty")] if empties else []
     )
+
+
+# ---------------------------------------------------------------------------
+# clean_day: the day-level fixed-point test against cleaning each text
+
+# Fixed points of clean; joined by single spaces they stay fixed points.
+CLEAN_WORDS = (
+    "btc", "moon", "up", "art", "rtx", "ñandú", "σας", "cool.", "50%", "e:mail",
+    "🚀🚀🚀", "sooo", "a.b", "x", "notwww.site", "ftp://x",
+)
+# Each makes any text of CLEAN_WORDS one that clean changes (the last two
+# clean to empty), so the day must be cleaned text by text.
+DIRTY = {
+    "ascii-upper": lambda t: "Btc " + t,
+    "dotted-capital-i": lambda t: t + " İ",
+    "final-capital-sigma": lambda t: t + " ΑΣ",
+    "leading-rt": lambda t: "rt " + t,
+    "bare-rt": lambda t: "rt",
+    **{
+        f"inner-{name}": (lambda t, ws=ws: f"btc{ws}{t}")
+        for name, ws in (
+            ("tab", "\t"), ("nbsp", "\u00a0"), ("ideographic-space", "\u3000"),
+            ("file-separator", "\x1c"), ("line-separator", "\u2028"), ("nel", "\x85"),
+        )
+    },
+    "leading-tab": lambda t: "\t" + t,
+    "trailing-ideographic-space": lambda t: t + "\u3000",
+    "double-space": lambda t: f"btc  {t}",
+    "leading-space": lambda t: " " + t,
+    "trailing-space": lambda t: t + " ",
+    "inner-newline": lambda t: f"btc\n{t}",
+    "trailing-newline": lambda t: t + "\n",
+    "mention": lambda t: "@x " + t,
+    "hashtag": lambda t: "#" + t,
+    "dot-run": lambda t: t + "..x",
+    "url": lambda t: f"http://x.co {t}",
+    "inner-https-url": lambda t: f"{t}https://x.co",
+    "www": lambda t: f"www.x {t}",
+    "inner-www": lambda t: f"btc www.x {t}",
+    "run-of-four": lambda t: t + " moooon",
+    "emoji-run-of-four": lambda t: t + " 🚀🚀🚀🚀",
+    "cleans-to-empty-dots": lambda t: "....",
+    "cleans-to-empty-mention": lambda t: "@someone",
+}
+# These look like noise but are fixed points: the day is only deduplicated.
+SETTLED = {
+    "no-plant": None,
+    "trailing-rt-token": lambda t: t + " rt",
+    "inner-rt-token": lambda t: f"btc rt {t}",
+    "rtx-word": lambda t: "rtx " + t,
+}
+
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab\0 \nñ", max_size=12) | st.text(alphabet="ab\0", max_size=12))
+@example("\0\0\0x")
+@example("xaaaa")
+def test_has_four_run_agrees_with_the_regex(text):
+    assert preprocess._has_four_run(text) == bool(preprocess._FOUR_RUN_RE.search(text))
+
+@st.composite
+def mostly_clean_day(draw, plant):
+    """A day's records: clean texts, some repeated, with ``plant`` applied to one of them."""
+    text = st.lists(st.sampled_from(CLEAN_WORDS), min_size=1, max_size=4).map(" ".join)
+    pool = draw(st.lists(text, min_size=1, max_size=5))
+    texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    if plant is not None:
+        i = draw(st.integers(0, len(texts) - 1))
+        texts[i] = plant(texts[i])
+    n = len(texts)
+    stamps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    records = [make_tweet(f"t{i:02d}", T0 + s, t) for i, s, t in zip(ids, stamps, texts)]
+    return tuple(draw(st.permutations(records)))
+
+
+def o_clean_day(records):
+    """Each text through ``o_clean``, then the first of each text kept, in (timestamp, id) order."""
+    seen = set()
+    kept = []
+    empty = 0
+    for record in sorted(records, key=lambda r: (r.timestamp, r.id)):
+        text = o_clean(record.text)
+        if not text:
+            empty += 1
+        elif text not in seen:
+            seen.add(text)
+            kept.append(record if text == record.text else record._replace(text=text))
+    return kept, empty
+
+
+@pytest.mark.parametrize(
+    "plant, dirty",
+    [pytest.param(p, False, id=name) for name, p in SETTLED.items()]
+    + [pytest.param(p, True, id=name) for name, p in DIRTY.items()],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_clean_day_tests_the_day_at_once(plant, dirty, data):
+    records = data.draw(mostly_clean_day(plant))
+    with mock.patch.object(preprocess, "clean", wraps=preprocess.clean) as counted:
+        kept, empty = clean_day(records)
+    want, want_empty = o_clean_day(records)
+    assert kept == want
+    assert empty == want_empty
+    inputs = {id(r) for r in records}
+    assert [id(g) in inputs for g in kept] == [id(w) in inputs for w in want]
+    assert all(g is w for g, w in zip(kept, want) if id(w) in inputs)
+    # A day with a planted change is cleaned text by text; any other day is
+    # only deduplicated.
+    assert counted.call_count == (len(records) if dirty else 0)

@@ -1,12 +1,13 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import D0, FRAGMENTS, T0, make_tweet, raw_days
-from oracles import o_score
+from oracles import o_clean, o_score
 from sentiq.attributes import Attribute, build_dataset
 from sentiq.corpus import DayBucket, bucket_by_day
 from sentiq.errors import LexiconError
@@ -203,6 +204,15 @@ def test_score_matches_the_per_token_oracle_to_the_bit(case):
     assert score(text, lexicon).hex() == o_score(text, lexicon).hex()
 
 
+def test_score_keeps_a_compound_that_underflows_to_negative_zero():
+    # -5e-324 / sqrt(15) rounds to -0.0; the day loop adds it to +0.0.
+    lexicon = Lexicon({"pump": -5e-324})
+    assert score("pump", lexicon).hex() == o_score("pump", lexicon).hex() == "-0x0.0p+0"
+    signal, _ = day_signal(DayBucket(D0, (make_tweet("t0", T0, "pump"),)), None, lexicon)
+    (staged,) = daily_signals((signal_bucket(["pump"]),), lexicon)
+    assert signal.mean_compound.hex() == staged.mean_compound.hex() == "0x0.0p+0"
+
+
 def test_negating_lexicon_negates_compound():
     pos = lex_of(up=0.7, down=-1.1, meh=0.2)
     neg = lex_of(up=-0.7, down=1.1, meh=-0.2)
@@ -344,3 +354,44 @@ def test_day_signal_matches_the_staged_pipeline_on_noisy_days(attribute, lexicon
     one_pass = [day_signal(bucket, attribute, lexicon) for bucket in buckets]
     assert [signal for signal, _ in one_pass] == list(staged)
     assert [n for _, n in one_pass] == [len(b.tweets) for b in kept]
+
+
+@st.composite
+def scored_day(draw):
+    """A lexicon view with zero valences, and a day of texts over it, some with ``!``.
+
+    The texts are fixed points of ``clean``, so the day takes ``clean_day``'s
+    day-level path. A day has up to 16 texts, and valences with two decimals
+    make sums that round, so a summation that compensates or reorders shows
+    in the bits.
+    """
+    valence = st.one_of(
+        st.integers(min_value=-400, max_value=400).map(lambda n: n / 100),
+        st.floats(min_value=-4, max_value=4, allow_nan=False),
+        st.sampled_from((0.0, -0.0)),
+    )
+    lexicon = draw(st.dictionaries(st.sampled_from(LEXICON_WORDS), valence, min_size=1))
+    word = st.sampled_from(LEXICON_WORDS + ("calm", "noise", "x"))
+    bang = st.tuples(word, st.integers(min_value=1, max_value=3)).map(lambda wb: wb[0] + "!" * wb[1])
+    plain = st.lists(word, min_size=1, max_size=8)
+    emphatic = st.lists(st.one_of(word, bang, st.just("!")), min_size=1, max_size=8)
+    text = st.one_of(plain, emphatic).map(" ".join)
+    texts = draw(st.lists(text, min_size=1, max_size=16))
+    records = tuple(make_tweet(f"t{i:02d}", T0 + i, t) for i, t in enumerate(texts))
+    return Lexicon(lexicon), DayBucket(D0, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_day())
+def test_day_signal_adds_the_oracle_scores_to_the_bit(case):
+    lexicon, bucket = case
+    kept = list(dict.fromkeys(o_clean(r.text) for r in bucket.tweets))
+    total = 0.0
+    for text in kept:
+        total += o_score(text, lexicon)
+    want = struct.pack("<d", total / len(kept))
+    signal, n = day_signal(bucket, None, lexicon)
+    assert (struct.pack("<d", signal.mean_compound), signal.tweet_count) == (want, len(kept))
+    assert n == len(bucket.tweets)
+    (staged,) = daily_signals(clean_and_dedup((bucket,)), lexicon)
+    assert (struct.pack("<d", staged.mean_compound), staged.tweet_count) == (want, len(kept))
